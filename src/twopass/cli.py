@@ -40,6 +40,16 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("expected comma-separated floats") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     top = _Parser(prog="twopass", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="command")
@@ -87,7 +97,7 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--lambda-lm", type=float, default=0.0)
     p.add_argument("--lambda-ilm", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = parsers["rescore"] = sub.add_parser(
         "rescore", help="second-pass alignment scoring and re-ranking")
@@ -109,7 +119,7 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--floor-logp", type=float,
                    default=AlignOptions().floor_log_prob)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = parsers["tune"] = sub.add_parser(
         "tune", help="grid-search fusion weights on a scored dev N-best")
@@ -379,6 +389,10 @@ def _cmd_tune(args) -> int:
             for a in (args.grid_am or [0.0])
             for l in (args.grid_lm or [0.0])
             for i in (args.grid_ilm or [0.0])]
+    if any(w.lambda_am != 0.0 for w in grid) and any(
+            h.scores.am is None for nb in nbest_lists for h in nb.hypotheses):
+        raise FormatError(
+            "%s: hypotheses lack am scores (rescore the list first)" % args.nbest)
     results = fusion.grid_search(dev, grid, vocab)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -7,10 +7,27 @@ the history padded by a single sentence start; no end-of-sentence term is
 added in this pass. Ties break toward the lexicographically smaller token-id
 sequence. With a beam at least as wide as the number of live prefixes the
 e2e score of every returned hypothesis is the exact CTC probability.
+
+Each frame is one array step over the (beam x symbol) matrix of extension
+candidates (Hannun et al. 2014, arXiv:1408.2873): extension mass and fused
+scores are float64 arrays computed in the same operation order as the
+scalar definitions, unreachable (-inf) extensions are dropped, and the
+width-th best score is found with np.partition; candidates tied with it
+are ordered by token tuple, so the kept set is exactly the top beam_width
+by (-fused, tokens). A prefix already in the beam gets at most two
+nonblank terms, its repeat-collapse and its parent's extension, which are
+folded with the scalar log_add (exactly symmetric in its two arguments);
+np.logaddexp is avoided because it rounds differently. LM and ILM scores
+come from NGramModel.conditional_row, one row of conditionals over the
+vocabulary per LM state (the last order-1 symbols of <s> + prefix),
+memoised on the model, so one decode command, or one --jobs worker, fills
+each state once across all utterances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     MINUS_INF,
@@ -61,6 +78,13 @@ def _check_lm_coverage(model: NGramModel, symbols, what: str) -> None:
             "%s does not cover posterior symbols: %s" % (what, " ".join(missing)))
 
 
+def _lm_state(prefix, syms, k: int) -> tuple[str, ...]:
+    """The last k symbols of <s> + prefix: the state an order-(k+1) LM sees."""
+    if k == 0:
+        return ()
+    return ((SENTENCE_START,) + tuple(syms[i] for i in prefix[-k:]))[-k:]
+
+
 def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
                        utterance_id: str = "utt") -> NBestList:
     """Decode one utterance into an NBestList.
@@ -87,59 +111,103 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
         _check_lm_coverage(ilm, syms, "internal LM")
     w_lm = config.weights.lambda_lm
     w_ilm = config.weights.lambda_ilm
-    n_symbols = len(syms)
+    width = config.beam_width
+    tokens = syms[1:]
+    n_ext = len(tokens)
+    k = max((m.order for m in (lm, ilm) if m is not None), default=1) - 1
+    flat = np.zeros(n_ext)
 
-    def fused(entry) -> float:
-        return log_add(entry[0], entry[1]) + w_lm * entry[2] - w_ilm * entry[3]
+    def rows(prefix):
+        state = _lm_state(prefix, syms, k)
+        return (flat if lm is None else lm.conditional_row(state, tokens),
+                flat if ilm is None else ilm.conditional_row(state, tokens))
 
-    # prefix -> [log p(blank-ending), log p(nonblank-ending), lm, ilm]
-    beams: dict[tuple[int, ...], list[float]] = {
-        (): [0.0, MINUS_INF, 0.0, 0.0]}
+    # Beam entry i: prefixes[i] with log p(blank-ending) p_b[i], log
+    # p(nonblank-ending) p_nb[i], LM/ILM totals s_lm[i]/s_ilm[i] and the
+    # LM/ILM conditional rows of its state; fused[i] is its ranking score.
+    prefixes = [()]
+    p_b, p_nb, s_lm, s_ilm, fused = [0.0], [MINUS_INF], [0.0], [0.0], [0.0]
+    lm_row, ilm_row = rows(())
+    lm_rows, ilm_rows = [lm_row], [ilm_row]
+    values = posteriors.values.astype(np.float64)
     for t in range(posteriors.frames):
-        row = posteriors.values[t].astype(float).tolist()
-        nxt: dict[tuple[int, ...], list[float]] = {}
-        for prefix, (p_b, p_nb, s_lm, s_ilm) in beams.items():
-            total = log_add(p_b, p_nb)
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = nxt[prefix] = [MINUS_INF, MINUS_INF, s_lm, s_ilm]
-            entry[0] = log_add(entry[0], total + row[0])
-            last = prefix[-1] if prefix else -1
-            for c in range(1, n_symbols):
-                if c == last:
-                    # Repeat frames collapse into the same prefix; a genuine
-                    # repeated label needs a blank in between, so only the
-                    # blank-ending mass extends.
-                    entry[1] = log_add(entry[1], p_nb + row[c])
-                    contrib = p_b + row[c]
-                else:
-                    contrib = total + row[c]
-                if contrib == MINUS_INF:
-                    continue
-                ext = prefix + (c,)
-                child = nxt.get(ext)
-                if child is None:
-                    c_lm = s_lm
-                    c_ilm = s_ilm
-                    if lm is not None or ilm is not None:
-                        ctx = (SENTENCE_START,) + tuple(syms[i] for i in prefix)
-                        if lm is not None:
-                            c_lm = s_lm + lm.conditional(ctx, syms[c])
-                        if ilm is not None:
-                            c_ilm = s_ilm + ilm.conditional(ctx, syms[c])
-                    child = nxt[ext] = [MINUS_INF, MINUS_INF, c_lm, c_ilm]
-                child[1] = log_add(child[1], contrib)
-        if len(nxt) > config.beam_width:
-            kept = sorted(nxt.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
-            beams = dict(kept[:config.beam_width])
-        else:
-            beams = nxt
+        row = values[t]
+        row_l = row.tolist()
+        n = len(prefixes)
+        totals = [log_add(a, b) for a, b in zip(p_b, p_nb)]
+        # Extension of beam i by symbol c sits at [i, c - 1]; on the repeat
+        # column only the blank-ending mass extends (a genuine repeated
+        # label needs a blank in between).
+        contrib = np.add.outer(np.array(totals), row[1:])
+        rep = [i for i, prefix in enumerate(prefixes) if prefix]
+        lasts = [prefixes[i][-1] for i in rep]
+        contrib[rep, [c - 1 for c in lasts]] = (
+            np.array([p_b[i] for i in rep]) + row[lasts])
+        ext_lm = np.array(s_lm)[:, None] + np.array(lm_rows)
+        ext_ilm = np.array(s_ilm)[:, None] + np.array(ilm_rows)
+        ext_fused = contrib + w_lm * ext_lm - w_ilm * ext_ilm
+        is_new = contrib != MINUS_INF
 
-    ranked = sorted(beams.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
+        # Each prefix already in the beam keeps its blank mass, collapses
+        # its repeat frames and takes its parent's extension, if any.
+        index = {prefix: i for i, prefix in enumerate(prefixes)}
+        blank = row_l[0]
+        self_b, self_nb = [], []
+        for i, prefix in enumerate(prefixes):
+            nb = MINUS_INF
+            if prefix:
+                nb = p_nb[i] + row_l[prefix[-1]]
+                parent = index.get(prefix[:-1])
+                if parent is not None:
+                    at = (parent, prefix[-1] - 1)
+                    nb = log_add(nb, contrib[at].item())
+                    is_new[at] = False
+            self_b.append(totals[i] + blank)
+            self_nb.append(nb)
+        self_fused = [
+            log_add(b, nb) + w_lm * x - w_ilm * y
+            for b, nb, x, y in zip(self_b, self_nb, s_lm, s_ilm)]
+
+        # Candidates: the n beam entries, then the new extensions new_at.
+        new_at = np.flatnonzero(is_new)
+        scores = np.concatenate((self_fused, ext_fused.ravel()[new_at]))
+
+        def candidate_prefix(pos):
+            if pos < n:
+                return prefixes[pos]
+            i, c = divmod(int(new_at[pos - n]), n_ext)
+            return prefixes[i] + (c + 1,)
+
+        # Keep the width best by (-fused, prefix): everything above the
+        # width-th score, then the smallest prefixes among its ties.
+        keep = np.arange(len(scores))
+        if len(scores) > width:
+            cut = np.partition(scores, len(scores) - width)[len(scores) - width]
+            keep = np.flatnonzero(scores > cut)
+            tied = np.flatnonzero(scores == cut).tolist()
+            if len(keep) + len(tied) > width:
+                tied = sorted(tied, key=candidate_prefix)[:width - len(keep)]
+            keep = np.concatenate((keep, np.array(tied, dtype=np.intp)))
+
+        kept_self = keep[keep < n].tolist()
+        kept_ext = keep[keep >= n]
+        ext = new_at[kept_ext - n]
+        ext_prefixes = [candidate_prefix(pos) for pos in kept_ext.tolist()]
+        ext_rows = [rows(prefix) for prefix in ext_prefixes]
+        prefixes = [prefixes[i] for i in kept_self] + ext_prefixes
+        p_b = [self_b[i] for i in kept_self] + [MINUS_INF] * len(ext_prefixes)
+        p_nb = [self_nb[i] for i in kept_self] + contrib.ravel()[ext].tolist()
+        s_lm = [s_lm[i] for i in kept_self] + ext_lm.ravel()[ext].tolist()
+        s_ilm = [s_ilm[i] for i in kept_self] + ext_ilm.ravel()[ext].tolist()
+        fused = [self_fused[i] for i in kept_self] + ext_fused.ravel()[ext].tolist()
+        lm_rows = [lm_rows[i] for i in kept_self] + [r[0] for r in ext_rows]
+        ilm_rows = [ilm_rows[i] for i in kept_self] + [r[1] for r in ext_rows]
+
+    ranked = sorted(range(len(prefixes)), key=lambda i: (-fused[i], prefixes[i]))
     hyps = []
-    for prefix, (p_b, p_nb, s_lm, s_ilm) in ranked[:config.n_best]:
-        hyps.append(Hypothesis(
-            prefix, ScoreBundle(e2e=log_add(p_b, p_nb), lm=s_lm, ilm=s_ilm)))
+    for i in ranked[:config.n_best]:
+        hyps.append(Hypothesis(prefixes[i], ScoreBundle(
+            e2e=log_add(p_b[i], p_nb[i]), lm=s_lm[i], ilm=s_ilm[i])))
     return NBestList(utterance_id, tuple(hyps))
 
 

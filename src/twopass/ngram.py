@@ -11,6 +11,8 @@ import os
 import re
 from collections import Counter
 
+import numpy as np
+
 from .core import FormatError, OOVError
 
 SENTENCE_START = "<s>"
@@ -34,6 +36,8 @@ class NGramModel:
         # tables[k-1]: dict mapping k-tuples of tokens to (logprob, backoff).
         self._tables = tables
         self.vocab = frozenset(key[0] for key in tables[0])
+        # (LM state, token tuple) -> read-only row of conditionals.
+        self._rows: dict[tuple, np.ndarray] = {}
 
     @property
     def has_unk(self) -> bool:
@@ -69,6 +73,23 @@ class NGramModel:
                 acc += bow[1]
             ctx = ctx[1:]
 
+    def conditional_row(self, context: tuple[str, ...],
+                        tokens: tuple[str, ...]) -> np.ndarray:
+        """Read-only float64 array of conditional(context, t) for t in tokens.
+
+        Memoised per LM state (the last order-1 symbols of context) and
+        token tuple for the life of the model; every entry is computed
+        through conditional, so subclasses overriding it see each query.
+        """
+        state = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        row = self._rows.get((state, tokens))
+        if row is None:
+            row = np.array([self.conditional(state, t) for t in tokens],
+                           dtype=np.float64)
+            row.setflags(write=False)
+            self._rows[(state, tokens)] = row
+        return row
+
     def score_sequence(self, tokens, include_eos: bool = False,
                        use_unk: bool = False) -> float:
         """Total natural-log probability of a token sequence.
@@ -101,8 +122,9 @@ def load_arpa(path: str | os.PathLike) -> NGramModel:
     """Parse an ARPA file into an NGramModel.
 
     Checks: declared counts match section contents, every higher-order gram's
-    context exists at the next order down, log10 probabilities are <= 0, no
-    duplicate grams. Backoff weights default to 0 (log) when absent.
+    context exists at the next order down, log10 probabilities are finite
+    and <= 0, backoff weights are finite, no duplicate grams. Backoff weights
+    default to 0 (log) when absent.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -174,6 +196,9 @@ def load_arpa(path: str | os.PathLike) -> NGramModel:
                 logp10 = float(fields[0])
             except ValueError:
                 raise FormatError("%s: line %d: malformed line" % (path, pos + 1)) from None
+            if not (math.isfinite(logp10) and math.isfinite(bow10)):
+                raise FormatError(
+                    "%s: line %d: non-finite value" % (path, pos + 1))
             if logp10 > 0.0:
                 raise FormatError(
                     "%s: line %d: positive log-probability" % (path, pos + 1))

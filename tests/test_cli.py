@@ -116,6 +116,15 @@ class TestDecode:
             "--vocab", str(workdir / "data" / "wordpieces.txt"),
             "--out", str(tmp_path / "x.nbest")]) == 2
 
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_is_usage_error(self, workdir, tmp_path, jobs):
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--jobs", jobs, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_lm_weight_without_lm_is_usage_error(self, workdir, tmp_path):
         assert cli.main([
             "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
@@ -198,6 +207,12 @@ class TestRescore:
             assert [h.tokens for h in a.hypotheses] \
                 == [h.tokens for h in b.hypotheses]
 
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_is_usage_error(self, workdir, tmp_path, jobs):
+        out = tmp_path / "x.nbest"
+        assert self._rescore(workdir, out, "--jobs", jobs) == 1
+        assert not out.exists()
+
     def test_rescore_is_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.nbest", tmp_path / "b.nbest"
         assert self._rescore(workdir, a, "--lambda-am", "0.5") == 0
@@ -240,6 +255,15 @@ class TestTuneScoreBuckets:
         out = capsys.readouterr().out
         assert "selected lambda_am=" in out
         assert "dev_wer=" in out
+
+    def test_tune_am_grid_without_am_scores_is_data_error(self, workdir,
+                                                          capsys):
+        assert cli.main([
+            "tune", "--nbest", str(workdir / "dev.nbest"),
+            "--ref", str(workdir / "data" / "dev.tsv"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--grid-am", "0.3"]) == 2
+        assert "am scores" in capsys.readouterr().err
 
     def test_score_identity_is_zero(self, workdir, capsys):
         ref = str(workdir / "data" / "dev.tsv")

@@ -6,6 +6,10 @@ then blanks) and its probability accumulated per label sequence.  Both the
 exact scorer and the beam search (run with a beam wide enough to disable
 pruning) must reproduce those numbers, and the per-sequence masses must sum
 to one because collapsing partitions the path space.
+
+The second oracle is a frozen copy of the scalar per-(prefix, symbol) loop
+the array decoder replaced: with pruning, exact ties and LM/ILM fusion the
+decoder must reproduce its tokens and the bits of every score.
 """
 import itertools
 import math
@@ -14,15 +18,20 @@ import numpy as np
 import pytest
 
 from twopass.core import (
+    MINUS_INF,
     AlignmentError,
     BLANK,
     FusionWeights,
+    Hypothesis,
+    NBestList,
     PosteriorMatrix,
+    ScoreBundle,
     VocabMismatchError,
     Vocabulary,
+    log_add,
 )
 from twopass.decoder import BeamConfig, ctc_label_prob, prefix_beam_search
-from twopass.ngram import train_add_one
+from twopass.ngram import SENTENCE_START, train_add_one
 
 WIDE = 4096  # beam wide enough that nothing is ever pruned in these tests
 
@@ -322,3 +331,139 @@ class TestShallowFusion:
         m = matrix_from_rows([[0.2, 0.4, 0.4]], vocab)
         with pytest.raises(VocabMismatchError):
             prefix_beam_search(m, BeamConfig(lm=small))
+
+
+def reference_prefix_beam_search(posteriors, config, utterance_id="utt"):
+    """Frozen per-(prefix, symbol) loop the array decoder must reproduce."""
+    syms = posteriors.vocab.symbols
+    lm, ilm = config.lm, config.ilm
+    w_lm = config.weights.lambda_lm
+    w_ilm = config.weights.lambda_ilm
+    n_symbols = len(syms)
+
+    def fused(entry):
+        return log_add(entry[0], entry[1]) + w_lm * entry[2] - w_ilm * entry[3]
+
+    beams = {(): [0.0, MINUS_INF, 0.0, 0.0]}
+    for t in range(posteriors.frames):
+        row = posteriors.values[t].astype(float).tolist()
+        nxt = {}
+        for prefix, (p_b, p_nb, s_lm, s_ilm) in beams.items():
+            total = log_add(p_b, p_nb)
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = nxt[prefix] = [MINUS_INF, MINUS_INF, s_lm, s_ilm]
+            entry[0] = log_add(entry[0], total + row[0])
+            last = prefix[-1] if prefix else -1
+            for c in range(1, n_symbols):
+                if c == last:
+                    entry[1] = log_add(entry[1], p_nb + row[c])
+                    contrib = p_b + row[c]
+                else:
+                    contrib = total + row[c]
+                if contrib == MINUS_INF:
+                    continue
+                ext = prefix + (c,)
+                child = nxt.get(ext)
+                if child is None:
+                    c_lm = s_lm
+                    c_ilm = s_ilm
+                    if lm is not None or ilm is not None:
+                        ctx = (SENTENCE_START,) + tuple(syms[i] for i in prefix)
+                        if lm is not None:
+                            c_lm = s_lm + lm.conditional(ctx, syms[c])
+                        if ilm is not None:
+                            c_ilm = s_ilm + ilm.conditional(ctx, syms[c])
+                    child = nxt[ext] = [MINUS_INF, MINUS_INF, c_lm, c_ilm]
+                child[1] = log_add(child[1], contrib)
+        if len(nxt) > config.beam_width:
+            kept = sorted(nxt.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
+            beams = dict(kept[:config.beam_width])
+        else:
+            beams = nxt
+
+    ranked = sorted(beams.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
+    hyps = []
+    for prefix, (p_b, p_nb, s_lm, s_ilm) in ranked[:config.n_best]:
+        hyps.append(Hypothesis(
+            prefix, ScoreBundle(e2e=log_add(p_b, p_nb), lm=s_lm, ilm=s_ilm)))
+    return NBestList(utterance_id, tuple(hyps))
+
+
+def random_lm(rng, vocab, order):
+    pieces = [s for s in vocab.symbols if s != BLANK]
+    sents = [[pieces[int(i)] for i in rng.integers(0, len(pieces), size)]
+             for size in rng.integers(1, 6, 12)]
+    return train_add_one(sents, order=order, vocabulary=pieces)
+
+
+class TestMatchesReferenceLoop:
+    """The array step gives the frozen loop's tokens and score bits."""
+
+    def _check(self, matrix, config):
+        got = prefix_beam_search(matrix, config, utterance_id="u")
+        want = reference_prefix_beam_search(matrix, config, utterance_id="u")
+        assert [h.tokens for h in got.hypotheses] \
+            == [h.tokens for h in want.hypotheses]
+        for a, b in zip(got.hypotheses, want.hypotheses):
+            assert repr(a.scores) == repr(b.scores), (a, b)
+
+    def _configs(self, rng, vocab, width):
+        n_best = int(rng.integers(1, width + 1))
+        yield BeamConfig(beam_width=width, n_best=n_best)
+        for order in (2, 3):
+            lm = random_lm(rng, vocab, order)
+            ilm = random_lm(rng, vocab, 5 - order)
+            yield BeamConfig(beam_width=width, n_best=n_best,
+                             weights=FusionWeights(0.0, 0.6, 0.3), lm=lm, ilm=ilm)
+            yield BeamConfig(beam_width=width, n_best=n_best, lm=lm, ilm=ilm)
+            yield BeamConfig(beam_width=width, n_best=n_best,
+                             weights=FusionWeights(0.0, 0.8, 0.0), lm=lm)
+
+    def test_pruned_random_inputs(self):
+        rng = np.random.default_rng(6150)
+        for _ in range(12):
+            vocab = make_vocab(int(rng.integers(4, 8)))
+            width = int(rng.integers(2, 5))
+            m = random_matrix(rng, int(rng.integers(3, 9)), vocab)
+            for config in self._configs(rng, vocab, width):
+                self._check(m, config)
+
+    def test_unpruned_random_inputs(self):
+        # Wider than every candidate set, so unreachable (-inf) extensions
+        # would surface as hypotheses if they were not dropped.
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            vocab = make_vocab(int(rng.integers(1, 4)))
+            m = random_matrix(rng, int(rng.integers(2, 5)), vocab)
+            for config in self._configs(rng, vocab, 256):
+                self._check(m, config)
+
+    def test_exact_fused_ties(self):
+        rng = np.random.default_rng(424)
+        for _ in range(12):
+            vocab = make_vocab(int(rng.integers(4, 8)))
+            probs = rng.random((int(rng.integers(3, 9)), len(vocab))) + 1e-3
+            # Duplicated label columns give equal scores to sibling prefixes.
+            probs[:, 2] = probs[:, 1]
+            probs[:, -1] = probs[:, 1]
+            probs /= probs.sum(axis=1, keepdims=True)
+            m = PosteriorMatrix(np.log(probs).astype(np.float32), vocab)
+            width = int(rng.integers(2, 5))
+            self._check(m, BeamConfig(beam_width=width, n_best=width))
+            for config in self._configs(rng, vocab, width):
+                self._check(m, config)
+
+    def test_peaked_rows_with_repeats(self):
+        # Near one-hot frames make the repeat column and the parent fold
+        # decide the ranking.
+        rng = np.random.default_rng(77)
+        for _ in range(8):
+            vocab = make_vocab(5)
+            frames = int(rng.integers(4, 10))
+            probs = np.full((frames, len(vocab)), 1e-3)
+            probs[np.arange(frames), rng.integers(0, len(vocab), frames)] = 1.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            m = PosteriorMatrix(np.log(probs).astype(np.float32), vocab)
+            for config in self._configs(rng, vocab, int(rng.integers(2, 5))):
+                self._check(m, config)

@@ -170,6 +170,14 @@ class TestArpaErrors:
             self._load(tmp_path,
                        "\\data\\\nngram 1=1\n\n\\1-grams:\n0.5\ta\n\\end\\\n")
 
+    @pytest.mark.parametrize("line", [
+        "nan\ta", "-inf\ta", "inf\ta", "-1\ta\tnan", "-1\ta\t-inf",
+        "-1\ta\tinf"])
+    def test_non_finite_value(self, tmp_path, line):
+        with pytest.raises(FormatError, match="non-finite"):
+            self._load(tmp_path,
+                       "\\data\\\nngram 1=1\n\n\\1-grams:\n%s\n\\end\\\n" % line)
+
     def test_duplicate_gram(self, tmp_path):
         with pytest.raises(FormatError):
             self._load(
@@ -186,6 +194,13 @@ class TestArpaErrors:
     def test_missing_end_marker(self, tmp_path):
         with pytest.raises(FormatError):
             self._load(tmp_path, "\\data\\\nngram 1=1\n\n\\1-grams:\n-1\ta\n")
+
+    def test_nan_in_toy_file(self, tmp_path):
+        with open(TOY_ARPA) as fh:
+            text = fh.read()
+        assert "-0.6989700\ta\t" in text
+        with pytest.raises(FormatError, match="non-finite"):
+            self._load(tmp_path, text.replace("-0.6989700\ta\t", "nan\ta\t"))
 
 
 class TestTrainAddOne:
@@ -268,3 +283,47 @@ class TestTrainAddOne:
     def test_start_token_not_predicted(self):
         model = train_add_one(self.SENTS, order=2)
         assert model.conditional(["x"], SENTENCE_START) < -200.0
+
+
+class TestConditionalRow:
+    """Rows of conditionals cached per LM state."""
+
+    SENTS = [["x", "y"], ["y", "x", "x"], ["x"], ["z", "y", "x"]]
+    TOKENS = ("x", "y", "z", SENTENCE_END)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_entries_equal_conditional(self, order):
+        model = train_add_one(self.SENTS, order=order)
+        for ctx in [(), (SENTENCE_START,), ("x",), (SENTENCE_START, "y"),
+                    ("z", "y"), ("y", "x", "x"), ("x", "z", "z", "y")]:
+            row = model.conditional_row(ctx, self.TOKENS)
+            assert row.dtype == np.float64 and row.shape == (len(self.TOKENS),)
+            for value, tok in zip(row.tolist(), self.TOKENS):
+                assert value == model.conditional(ctx, tok), (ctx, tok)
+
+    def test_memoised_per_state_and_read_only(self):
+        model = train_add_one(self.SENTS, order=2)
+        row = model.conditional_row((SENTENCE_START, "x"), self.TOKENS)
+        assert model.conditional_row(("y", "x"), self.TOKENS) is row
+        assert model.conditional_row(("y",), self.TOKENS) is not row
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_subclass_conditional_fills_the_row(self):
+        calls = []
+
+        class Recording(NGramModel):
+            def conditional(self, context, token, use_unk=False):
+                calls.append((tuple(context), token))
+                return super().conditional(context, token, use_unk)
+
+        base = train_add_one(self.SENTS, order=3)
+        model = Recording(3, [base.ngrams(k) for k in (1, 2, 3)])
+        model.conditional_row(("z", SENTENCE_START, "x"), self.TOKENS)
+        model.conditional_row(("y", SENTENCE_START, "x"), self.TOKENS)
+        assert calls == [((SENTENCE_START, "x"), tok) for tok in self.TOKENS]
+
+    def test_oov_token_raises(self):
+        model = train_add_one(self.SENTS, order=2)
+        with pytest.raises(OOVError):
+            model.conditional_row(("x",), ("x", "q"))
