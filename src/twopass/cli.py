@@ -262,9 +262,9 @@ def _cmd_synth(args) -> int:
 _WORKER_STATE: dict = {}
 
 
-def _decode_init(vocab, config):
-    _WORKER_STATE["vocab"] = vocab
-    _WORKER_STATE["config"] = config
+def _install_state(state: dict) -> None:
+    _WORKER_STATE.clear()
+    _WORKER_STATE.update(state)
 
 
 def _decode_task(task):
@@ -273,11 +273,12 @@ def _decode_task(task):
     return prefix_beam_search(matrix, _WORKER_STATE["config"], utterance_id=utt)
 
 
-def _run_pool(tasks, worker, initializer, initargs, jobs):
+def _run_pool(tasks, worker, state, jobs):
+    """worker over tasks in order, with state installed in every process."""
     if jobs <= 1:
-        initializer(*initargs)
+        _install_state(state)
         return [worker(task) for task in tasks]
-    with multiprocessing.Pool(jobs, initializer=initializer, initargs=initargs) as pool:
+    with multiprocessing.Pool(jobs, initializer=_install_state, initargs=(state,)) as pool:
         return list(pool.imap(worker, tasks, chunksize=8))
 
 
@@ -302,21 +303,14 @@ def _cmd_decode(args) -> int:
         weights=FusionWeights(0.0, args.lambda_lm, args.lambda_ilm),
         lm=lm, ilm=ilm)
     tasks = _input_tasks(args)
-    results = _run_pool(tasks, _decode_task, _decode_init, (vocab, config), args.jobs)
+    results = _run_pool(
+        tasks, _decode_task, {"vocab": vocab, "config": config}, args.jobs)
     core.write_nbest(results, vocab, args.out)
     log.info("decoded %d utterances -> %s", len(results), args.out)
     return 0
 
 
 # --- rescore -------------------------------------------------------------
-
-def _rescore_init(ph_vocab, lexicon, vocab, weights, options):
-    _WORKER_STATE["ph_vocab"] = ph_vocab
-    _WORKER_STATE["lexicon"] = lexicon
-    _WORKER_STATE["vocab"] = vocab
-    _WORKER_STATE["weights"] = weights
-    _WORKER_STATE["options"] = options
-
 
 def _rescore_task(task):
     nbest, path = task
@@ -357,9 +351,9 @@ def _cmd_rescore(args) -> int:
             raise FormatError(
                 "no phoneme posteriors listed for %s" % nb.utterance_id)
         tasks.append((nb, paths[nb.utterance_id]))
-    results = _run_pool(
-        tasks, _rescore_task, _rescore_init,
-        (ph_vocab, lexicon, vocab, weights, options), args.jobs)
+    results = _run_pool(tasks, _rescore_task, {
+        "ph_vocab": ph_vocab, "lexicon": lexicon, "vocab": vocab,
+        "weights": weights, "options": options}, args.jobs)
     core.write_nbest(results, vocab, args.out)
     log.info("rescored %d utterances -> %s", len(results), args.out)
     return 0
@@ -367,20 +361,24 @@ def _cmd_rescore(args) -> int:
 
 # --- tune ----------------------------------------------------------------
 
-def _pair_with_refs(nbest_lists, ref_path):
-    refs = dict(core.load_transcripts(ref_path))
-    pairs = []
-    for nb in nbest_lists:
-        if nb.utterance_id not in refs:
-            raise FormatError("no reference for %s" % nb.utterance_id)
-        pairs.append((nb, refs[nb.utterance_id]))
-    return pairs
+def _load_references(path) -> list[tuple[str, tuple[str, ...]]]:
+    """Reference transcripts in file order; an empty one is a data fault."""
+    refs = core.load_transcripts(path)
+    for utt, words in refs:
+        if not words:
+            raise FormatError("%s: empty reference for %s" % (path, utt))
+    return refs
 
 
 def _cmd_tune(args) -> int:
     vocab = core.load_vocabulary(args.vocab)
     nbest_lists = core.load_nbest(args.nbest, vocab)
-    dev = _pair_with_refs(nbest_lists, args.ref)
+    refs = dict(_load_references(args.ref))
+    dev = []
+    for nb in nbest_lists:
+        if nb.utterance_id not in refs:
+            raise FormatError("no reference for %s" % nb.utterance_id)
+        dev.append((nb, refs[nb.utterance_id]))
     if args.grid_am is None and args.grid_lm is None and args.grid_ilm is None:
         grid = fusion.default_weight_grid()
     else:
@@ -400,15 +398,9 @@ def _cmd_tune(args) -> int:
                 fh.write("%s\t%s\t%s\t%.6f\n" % (
                     weights.lambda_am, weights.lambda_lm,
                     weights.lambda_ilm, dev_wer))
-    best_weights, best_wer = None, None
-    for weights, dev_wer in results:
-        key = (dev_wer, (weights.lambda_am, weights.lambda_lm, weights.lambda_ilm))
-        if best_wer is None or key < best_wer:
-            best_wer = key
-            best_weights = weights
+    best, best_wer = fusion.select_weights(results)
     print("selected lambda_am=%.3f lambda_lm=%.3f lambda_ilm=%.3f dev_wer=%.6f"
-          % (best_weights.lambda_am, best_weights.lambda_lm,
-             best_weights.lambda_ilm, best_wer[0]))
+          % (best.lambda_am, best.lambda_lm, best.lambda_ilm, best_wer))
     return 0
 
 
@@ -423,7 +415,7 @@ def _write_score_report(path, rows) -> None:
 
 
 def _cmd_score(args) -> int:
-    refs = core.load_transcripts(args.ref)
+    refs = _load_references(args.ref)
     if (args.hyp is None) == (args.nbest is None):
         raise _UsageError("give exactly one of --hyp or --nbest")
     rows = []
@@ -433,9 +425,7 @@ def _cmd_score(args) -> int:
         for utt, ref in refs:
             if utt not in hyps:
                 raise FormatError("no hypothesis for %s" % utt)
-            rows.append((utt, metrics.wer(
-                metrics.normalize(" ".join(ref)),
-                metrics.normalize(" ".join(hyps[utt])))))
+            rows.append((utt, metrics.wer(ref, hyps[utt])))
     else:
         if args.vocab is None:
             raise _UsageError("--nbest requires --vocab")
@@ -446,10 +436,9 @@ def _cmd_score(args) -> int:
             if utt not in lists:
                 raise FormatError("no hypotheses for %s" % utt)
             nb = lists[utt]
-            ref_norm = metrics.normalize(" ".join(ref))
             top_words = core.detokenize(nb.top().tokens, vocab)
-            rows.append((utt, metrics.wer(ref_norm, top_words)))
-            oracle_total = oracle_total + metrics.oracle_wer(nb, ref_norm, vocab)
+            rows.append((utt, metrics.wer(ref, top_words)))
+            oracle_total = oracle_total + metrics.oracle_wer(nb, ref, vocab)
     total = metrics.ErrorCounts()
     for _, counts in rows:
         total = total + counts
@@ -465,7 +454,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_buckets(args) -> int:
     vocab = core.load_vocabulary(args.vocab)
-    refs = core.load_transcripts(args.ref)
+    refs = _load_references(args.ref)
     base = {nb.utterance_id: nb
             for nb in core.load_nbest(args.baseline_nbest, vocab)}
     fused = {nb.utterance_id: nb
@@ -476,7 +465,7 @@ def _cmd_buckets(args) -> int:
         if utt not in base or utt not in fused:
             raise FormatError("no hypotheses for %s" % utt)
         corpus.append((
-            metrics.normalize(" ".join(ref)),
+            ref,
             core.detokenize(base[utt].top().tokens, vocab),
             core.detokenize(fused[utt].top().tokens, vocab)))
     stats = metrics.ppl_buckets(corpus, bucket_lm, args.k, vocab)

@@ -414,6 +414,12 @@ def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
                     am=None if am_s == _NA else float(am_s))
             except ValueError as exc:
                 raise FormatError("%s: line %d: %s" % (path, lineno, exc)) from None
+            # A zero weight times an infinite lm or ilm is NaN; am may be
+            # -inf (--floor-logp -inf) because fusion skips am at weight 0.
+            for name in ("e2e", "lm", "ilm"):
+                if not math.isfinite(getattr(scores, name)):
+                    raise FormatError(
+                        "%s: line %d: non-finite %s score" % (path, lineno, name))
             hyps = per_utt.setdefault(utt, [])
             if rank != len(hyps) + 1:
                 raise FormatError(
@@ -432,9 +438,8 @@ def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
     return out
 
 
-def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]]]:
-    """Read "utt_id TAB text" transcript lines; text may be empty."""
-    out = []
+def _tab_lines(path):
+    """(line number, key, rest) of each non-blank "key TAB rest" line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -442,9 +447,13 @@ def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]
                 continue
             if "\t" not in line:
                 raise FormatError("%s: line %d: missing tab" % (path, lineno))
-            utt, text = line.split("\t", 1)
-            out.append((utt, tuple(text.split())))
-    return out
+            key, rest = line.split("\t", 1)
+            yield lineno, key, rest
+
+
+def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]]]:
+    """Read "utt_id TAB text" transcript lines; text may be empty."""
+    return [(utt, tuple(text.split())) for _, utt, text in _tab_lines(path)]
 
 
 def write_transcripts(entries, path: str | os.PathLike) -> None:
@@ -458,19 +467,12 @@ def load_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
     base = os.path.dirname(os.path.abspath(path))
     out = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError("%s: line %d: missing tab" % (path, lineno))
-            utt, rel = line.split("\t", 1)
-            if utt in seen:
-                raise FormatError(
-                    "%s: line %d: duplicate utterance %s" % (path, lineno, utt))
-            seen.add(utt)
-            out.append((utt, os.path.join(base, rel)))
+    for lineno, utt, rel in _tab_lines(path):
+        if utt in seen:
+            raise FormatError(
+                "%s: line %d: duplicate utterance %s" % (path, lineno, utt))
+        seen.add(utt)
+        out.append((utt, os.path.join(base, rel)))
     return out
 
 

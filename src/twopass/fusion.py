@@ -51,11 +51,14 @@ def equivalent_lm_weights(weights: FusionWeights) -> FusionWeights:
         lambda_ilm=weights.lambda_am / denom)
 
 
+def _rank_key(weights: FusionWeights):
+    """Sort key: higher fused score first, ties to the smaller tokens."""
+    return lambda h: (-fuse_scores(h.scores, weights), h.tokens)
+
+
 def rank_hypotheses(hypotheses, weights: FusionWeights) -> list[Hypothesis]:
     """Sort by fused score, ties to the lexicographically smaller tokens."""
-    return sorted(
-        hypotheses,
-        key=lambda h: (-fuse_scores(h.scores, weights), h.tokens))
+    return sorted(hypotheses, key=_rank_key(weights))
 
 
 def rescore_nbest(nbest: NBestList, posteriors: PosteriorMatrix,
@@ -107,7 +110,8 @@ def grid_search(dev, grid, vocab: Vocabulary) -> list[tuple[FusionWeights, float
     """Corpus WER of every grid point on a dev set, in grid order.
 
     dev is a sequence of (NBestList, reference word sequence) pairs whose
-    lists already carry every score component a grid point needs.
+    lists already carry every score component a grid point needs. A list's
+    top hypothesis is scored once, when a point first selects it.
     """
     dev = list(dev)
     grid = list(grid)
@@ -117,28 +121,30 @@ def grid_search(dev, grid, vocab: Vocabulary) -> list[tuple[FusionWeights, float
         raise ValueError("empty dev set")
     if sum(len(ref) for _, ref in dev) == 0:
         raise ValueError("dev references are empty")
+    errors: dict[tuple[int, tuple[int, ...]], ErrorCounts] = {}
     results = []
     for weights in grid:
+        key = _rank_key(weights)
         counts = ErrorCounts()
-        for nbest, ref in dev:
-            top = rank_hypotheses(nbest.hypotheses, weights)[0]
-            counts = counts + wer(ref, detokenize(top.tokens, vocab))
+        for index, (nbest, ref) in enumerate(dev):
+            top = min(nbest.hypotheses, key=key).tokens
+            if (index, top) not in errors:
+                errors[index, top] = wer(ref, detokenize(top, vocab))
+            counts = counts + errors[index, top]
         results.append((weights, counts.wer))
     return results
+
+
+def select_weights(results) -> tuple[FusionWeights, float]:
+    """The minimum-WER (weights, WER) of grid_search results; ties prefer
+    the lexicographically smaller (lambda_am, lambda_lm, lambda_ilm)."""
+    return min(results, key=lambda point: (
+        point[1], (point[0].lambda_am, point[0].lambda_lm, point[0].lambda_ilm)))
 
 
 def tune_weights(dev, grid, vocab: Vocabulary) -> tuple[FusionWeights, float]:
     """Grid-search fusion weights for minimum corpus WER on a dev set.
 
-    Returns (best weights, best corpus WER); ties prefer the
-    lexicographically smaller (lambda_am, lambda_lm, lambda_ilm) triple.
+    Returns (best weights, best corpus WER), chosen by select_weights.
     """
-    best_weights = None
-    best: tuple[float, tuple[float, float, float]] | None = None
-    for weights, dev_wer in grid_search(dev, grid, vocab):
-        key = (dev_wer,
-               (weights.lambda_am, weights.lambda_lm, weights.lambda_ilm))
-        if best is None or key < best:
-            best = key
-            best_weights = weights
-    return best_weights, best[0]
+    return select_weights(grid_search(dev, grid, vocab))

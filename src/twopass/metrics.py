@@ -3,8 +3,8 @@ perplexity-bucketed error analysis.
 
 WER uses unit-cost Levenshtein alignment; the backtrace prefers substitution
 over deletion over insertion when costs tie. Corpus WER aggregates error
-counts before dividing. Text normalization is lowercase plus whitespace
-tokenization, nothing else.
+counts before dividing. Words are compared only in wer, after normalize
+(lowercase plus whitespace split, nothing else) on both sides.
 """
 from __future__ import annotations
 
@@ -44,9 +44,9 @@ class ErrorCounts:
 
 
 def wer(reference, hypothesis) -> ErrorCounts:
-    """Levenshtein error counts of one hypothesis against its reference."""
-    ref = list(reference)
-    hyp = list(hypothesis)
+    """Levenshtein error counts of hypothesis words against reference words."""
+    ref = normalize(" ".join(reference))
+    hyp = normalize(" ".join(hypothesis))
     if not ref:
         raise ValueError("empty reference")
     r, h = len(ref), len(hyp)
@@ -128,7 +128,7 @@ def ppl_buckets(corpus, bucket_lm: NGramModel, k: int,
     """Bucket utterances by reference perplexity and compare systems.
 
     corpus is a sequence of (reference words, baseline hyp words, fused hyp
-    words) triples. References are re-tokenized into vocabulary pieces and
+    words) triples. References, as written, are re-tokenized into pieces and
     scored with bucket_lm; utterances are sorted by perplexity ascending and
     split into k contiguous buckets, the first (n mod k) buckets taking one
     extra item. A bucket with zero baseline WER reports a WERR of 0.0.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from twopass import cli, core
+from twopass.ngram import train_add_one, write_arpa
 
 SYNTH_ARGS = [
     "--seed", "11", "--vocab-size", "8", "--phonemes", "5",
@@ -321,6 +322,93 @@ class TestTuneScoreBuckets:
             "--vocab", str(data / "wordpieces.txt"),
             "--lm", str(data / "wordpiece_lm.arpa"),
             "--k", "20", "--report", str(tmp_path / "x.tsv")]) == 1
+
+
+class TestHandMadeLists:
+    """Tiny hand-written vocabularies, N-best lists and references."""
+
+    PIECES = ("<blank>", "▁Foo", "▁bar", "▁x")
+
+    def _files(self, tmp_path, ref_text="Foo bar", rows=None):
+        vocab = core.Vocabulary(self.PIECES)
+        core.save_vocabulary(vocab, str(tmp_path / "vocab.txt"))
+        if rows is None:
+            rows = ["u1\t1\t-1.0\t-2.0\t-0.5\t-3.0\t▁Foo ▁bar",
+                    "u1\t2\t-2.0\t-2.0\t-0.5\t-3.0\t▁x ▁bar"]
+        (tmp_path / "list.nbest").write_text(
+            "".join(r + "\n" for r in rows), encoding="utf-8")
+        (tmp_path / "ref.tsv").write_text(
+            "u1\t%s\n" % ref_text, encoding="utf-8")
+        lm = train_add_one([["▁Foo", "▁bar"]], 2, vocabulary=self.PIECES[1:])
+        write_arpa(lm, str(tmp_path / "lm.arpa"))
+        return {name: str(tmp_path / name) for name in
+                ("vocab.txt", "list.nbest", "ref.tsv", "lm.arpa")}
+
+    def _tune(self, f, *grid):
+        return cli.main(["tune", "--nbest", f["list.nbest"],
+                         "--ref", f["ref.tsv"], "--vocab", f["vocab.txt"]]
+                        + list(grid))
+
+    def _score_nbest(self, f):
+        return cli.main(["score", "--ref", f["ref.tsv"],
+                         "--nbest", f["list.nbest"], "--vocab", f["vocab.txt"]])
+
+    def _score_hyp(self, f, hyp):
+        return cli.main(["score", "--ref", f["ref.tsv"], "--hyp", hyp])
+
+    def _buckets(self, f, report):
+        return cli.main(["buckets", "--ref", f["ref.tsv"],
+                         "--baseline-nbest", f["list.nbest"],
+                         "--fused-nbest", f["list.nbest"],
+                         "--vocab", f["vocab.txt"], "--lm", f["lm.arpa"],
+                         "--k", "1", "--report", report])
+
+    def test_capitalised_words_agree_across_commands(self, tmp_path, capsys):
+        # every command compares lowercased, whitespace-split words
+        f = self._files(tmp_path)
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("u1\tFoo bar\n", encoding="utf-8")
+        report = str(tmp_path / "buckets.tsv")
+        assert self._tune(f) == 0
+        assert capsys.readouterr().out.endswith("dev_wer=0.000000\n")
+        assert self._score_nbest(f) == 0
+        assert capsys.readouterr().out == "corpus WER 0.0000\noracle WER 0.0000\n"
+        assert self._score_hyp(f, str(hyp)) == 0
+        assert capsys.readouterr().out == "corpus WER 0.0000\n"
+        assert self._buckets(f, report) == 0
+        (line,) = open(report).read().splitlines()
+        assert line.split("\t")[2:] == ["0.0000", "0.0000", "0.0000"]
+
+    def test_tune_tie_prints_smaller_triple(self, tmp_path, capsys):
+        # both points put "Foo bar" on top; the larger one comes first
+        f = self._files(tmp_path)
+        assert self._tune(f, "--grid-am", "1.0,0.5") == 0
+        assert capsys.readouterr().out == (
+            "selected lambda_am=0.500 lambda_lm=0.000 lambda_ilm=0.000 "
+            "dev_wer=0.000000\n")
+
+    def test_empty_reference_is_data_error(self, tmp_path, capsys):
+        f = self._files(tmp_path, ref_text="")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("u1\tFoo bar\n", encoding="utf-8")
+        for run in (lambda: self._tune(f), lambda: self._score_nbest(f),
+                    lambda: self._score_hyp(f, str(hyp)),
+                    lambda: self._buckets(f, str(tmp_path / "b.tsv"))):
+            assert run() == 2
+            assert "empty reference for u1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    def test_infinite_score_is_data_error(self, tmp_path, capsys, column):
+        # at lambda_lm 0 an lm of -inf would fuse to NaN
+        rows = ["u1\t1\t-1.0\t-2.0\t-0.5\t-3.0\t▁x ▁bar",
+                "u1\t2\t-2.0\t-2.0\t-0.5\t-3.0\t▁Foo ▁bar"]
+        fields = rows[0].split("\t")
+        fields[column] = "-inf"
+        rows[0] = "\t".join(fields)
+        f = self._files(tmp_path, rows=rows)
+        assert self._tune(f, "--grid-lm", "0,1") == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert self._score_nbest(f) == 2
 
 
 class TestTopLevel:

@@ -292,6 +292,29 @@ class TestNBestFile:
         with pytest.raises(FormatError):
             load_nbest(path, _vocab())
 
+    @pytest.mark.parametrize("field", ["e2e", "lm", "ilm"])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_non_finite_scores_rejected(self, tmp_path, field, value):
+        # a zero fusion weight times an infinite lm or ilm would be NaN
+        scores = {"e2e": "-1.0", "lm": "-2.0", "ilm": "-0.5"}
+        scores[field] = value
+        path = str(tmp_path / "x.nbest")
+        with open(path, "w") as fh:
+            fh.write("u\t1\t%s\t%s\t%s\tNA\t▁a\n" % (
+                scores["e2e"], scores["lm"], scores["ilm"]))
+        with pytest.raises(FormatError, match="line 1: non-finite %s" % field):
+            load_nbest(path, _vocab())
+
+    def test_minus_inf_am_accepted(self, tmp_path):
+        # rescore --floor-logp -inf writes -inf am scores
+        v = _vocab()
+        nbest = NBestList("u", (
+            Hypothesis((1,), ScoreBundle(e2e=-1.0, am=-math.inf)),))
+        path = str(tmp_path / "x.nbest")
+        write_nbest([nbest], v, path)
+        (clone,) = load_nbest(path, v)
+        assert clone.top().scores.am == -math.inf
+
 
 class TestLexiconParsing:
 
@@ -354,9 +377,21 @@ class TestTranscriptsAndManifests:
         text = open(manifest).read()
         assert "deep/u1.fpm" in text and str(tmp_path) not in text
 
+    @pytest.mark.parametrize("loader", [load_transcripts, load_manifest])
+    def test_blank_lines_skipped_and_missing_tab_rejected(self, tmp_path,
+                                                          loader):
+        path = str(tmp_path / "x.tsv")
+        with open(path, "w") as fh:
+            fh.write("u1\tx\n\nu2\ty\n")
+        assert [utt for utt, _ in loader(path)] == ["u1", "u2"]
+        with open(path, "w") as fh:
+            fh.write("u1\tx\n\nu2 y\n")
+        with pytest.raises(FormatError, match="line 3: missing tab"):
+            loader(path)
+
     def test_manifest_duplicate_utterance_rejected(self, tmp_path):
         manifest = str(tmp_path / "list.tsv")
         with open(manifest, "w") as fh:
             fh.write("u1\ta.fpm\nu1\tb.fpm\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 2: duplicate utterance u1"):
             load_manifest(manifest)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from twopass import fusion
 from twopass.aligner import AlignOptions, am_score
 from twopass.core import (
     BLANK,
@@ -13,6 +14,7 @@ from twopass.core import (
     PosteriorMatrix,
     ScoreBundle,
     Vocabulary,
+    detokenize,
     parse_lexicon,
 )
 from twopass.fusion import (
@@ -23,8 +25,10 @@ from twopass.fusion import (
     rank_hypotheses,
     rescore_nbest,
     score_with_word_lm,
+    select_weights,
     tune_weights,
 )
+from twopass.metrics import ErrorCounts, wer
 from twopass.ngram import train_add_one
 
 WP = Vocabulary((BLANK, "▁x", "▁y"))
@@ -260,3 +264,68 @@ class TestTuning:
         empty_ref = [(dev[0][0], ())]
         with pytest.raises(ValueError):
             grid_search(empty_ref, [FusionWeights()], WP)
+
+    def test_select_weights_breaks_ties_by_triple_not_grid_order(self):
+        results = [(FusionWeights(0.0, 0.2, 0.0), 0.5),
+                   (FusionWeights(0.0, 0.1, 0.3), 0.5),
+                   (FusionWeights(0.0, 0.1, 0.0), 0.75)]
+        assert select_weights(results) == (FusionWeights(0.0, 0.1, 0.3), 0.5)
+
+    def test_wer_runs_once_per_selected_pair(self, monkeypatch):
+        calls = []
+
+        def counting_wer(ref, hyp):
+            calls.append((tuple(ref), tuple(hyp)))
+            return wer(ref, hyp)
+
+        monkeypatch.setattr(fusion, "wer", counting_wer)
+        dev = _dev_pair() + _dev_pair()
+        grid = [FusionWeights(a / 10, 0.0, 0.0) for a in range(11)]
+        results = grid_search(dev, grid, WP)
+        # "y" tops both lists up to lambda_am 0.1, "x" from 0.2 on: two
+        # distinct tops per utterance, each scored once
+        assert len(calls) == 4
+        assert sorted(calls) == [(("x",), ("x",))] * 2 + [(("x",), ("y",))] * 2
+        assert [r[1] for r in results] == [1.0, 1.0] + [0.0] * 9
+
+    def test_unselected_dangling_hypothesis_is_never_detokenized(self):
+        vocab = Vocabulary((BLANK, "▁x", "▁y", "z"))
+        nbest = NBestList("u", (
+            Hypothesis((1,), bundle(-0.5, am=-1.0)),
+            Hypothesis((3, 1), bundle(-9.0, am=-9.0)),
+        ))
+        with pytest.raises(ValueError, match="dangling"):
+            detokenize((3, 1), vocab)
+        grid = [FusionWeights(), FusionWeights(1.0, 0.0, 0.0)]
+        assert grid_search([(nbest, ("x",))], grid, vocab) == [
+            (grid[0], 0.0), (grid[1], 0.0)]
+
+    def test_matches_sort_and_rescore_at_every_point(self):
+        # the per-point loop grid_search replaced, kept as the oracle
+        def reference_grid_search(dev, grid, vocab):
+            out = []
+            for weights in grid:
+                counts = ErrorCounts()
+                for nbest, ref in dev:
+                    top = rank_hypotheses(nbest.hypotheses, weights)[0]
+                    counts = counts + wer(ref, detokenize(top.tokens, vocab))
+                out.append((weights, counts.wer))
+            return out
+
+        rng = np.random.default_rng(2024)
+        levels = (-2.0, -1.0, -0.5)  # few values, so fused scores tie
+        dev = []
+        for u in range(12):
+            seqs = sorted({tuple(int(t) for t in rng.integers(1, 3, rng.integers(1, 4)))
+                           for _ in range(6)})
+            # file order is not token order, so min must break ties by tokens
+            seqs = [seqs[i] for i in rng.permutation(len(seqs))]
+            hyps = [Hypothesis(seq, bundle(
+                float(rng.choice(levels)), lm=float(rng.choice(levels)),
+                ilm=float(rng.choice(levels)),
+                am=-math.inf if rng.random() < 0.2 else float(rng.choice(levels))))
+                for seq in seqs]
+            ref = tuple(rng.choice(["x", "y"], rng.integers(1, 4)))
+            dev.append((NBestList("u%d" % u, hyps), ref))
+        grid = default_weight_grid(step=0.5)
+        assert grid_search(dev, grid, WP) == reference_grid_search(dev, grid, WP)
