@@ -5,130 +5,9 @@ shallow fusion of an external n-gram LM and subtraction of an internal-LM
 estimate. Second pass: phoneme forced alignment of each hypothesis against
 an acoustic posterior stream, combined log-linearly with the first-pass
 scores to re-rank the N-best list.
+
+The API is the modules themselves (core, decoder, aligner, fusion, ngram,
+metrics, synth, cli); the package root re-exports nothing.
 """
-from .aligner import (
-    AlignOptions,
-    DEFAULT_FLOOR_LOG_PROB,
-    PronGraph,
-    am_score,
-    expand_pronunciations,
-    viterbi_align,
-)
-from .core import (
-    AlignmentError,
-    BLANK,
-    FormatError,
-    FusionWeights,
-    Hypothesis,
-    Lexicon,
-    NBestList,
-    OOVError,
-    PosteriorMatrix,
-    ScoreBundle,
-    ToolkitError,
-    VocabMismatchError,
-    Vocabulary,
-    WORD_BOUNDARY,
-    detokenize,
-    load_lexicon,
-    load_manifest,
-    load_nbest,
-    load_posteriors,
-    load_transcripts,
-    load_vocabulary,
-    tokenize,
-    write_manifest,
-    write_nbest,
-    write_posteriors,
-    write_transcripts,
-    save_vocabulary,
-)
-from .decoder import BeamConfig, ctc_label_prob, prefix_beam_search
-from .fusion import (
-    default_weight_grid,
-    equivalent_lm_weights,
-    fuse_scores,
-    grid_search,
-    rank_hypotheses,
-    rescore_nbest,
-    score_with_word_lm,
-    tune_weights,
-)
-from .metrics import (
-    BucketStats,
-    ErrorCounts,
-    corpus_counts,
-    normalize,
-    oracle_wer,
-    ppl_buckets,
-    wer,
-    werr,
-)
-from .ngram import NGramModel, load_arpa, train_add_one, write_arpa
-from .synth import Corpus, SeededStream, SynthConfig, gen_corpus, gen_posteriors
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignOptions",
-    "AlignmentError",
-    "BLANK",
-    "BeamConfig",
-    "BucketStats",
-    "Corpus",
-    "DEFAULT_FLOOR_LOG_PROB",
-    "ErrorCounts",
-    "FormatError",
-    "FusionWeights",
-    "Hypothesis",
-    "Lexicon",
-    "NBestList",
-    "NGramModel",
-    "OOVError",
-    "PosteriorMatrix",
-    "PronGraph",
-    "ScoreBundle",
-    "SeededStream",
-    "SynthConfig",
-    "ToolkitError",
-    "VocabMismatchError",
-    "Vocabulary",
-    "WORD_BOUNDARY",
-    "am_score",
-    "corpus_counts",
-    "ctc_label_prob",
-    "default_weight_grid",
-    "detokenize",
-    "equivalent_lm_weights",
-    "expand_pronunciations",
-    "fuse_scores",
-    "gen_corpus",
-    "gen_posteriors",
-    "grid_search",
-    "load_arpa",
-    "load_lexicon",
-    "load_manifest",
-    "load_nbest",
-    "load_posteriors",
-    "load_transcripts",
-    "load_vocabulary",
-    "normalize",
-    "oracle_wer",
-    "ppl_buckets",
-    "prefix_beam_search",
-    "rank_hypotheses",
-    "rescore_nbest",
-    "save_vocabulary",
-    "score_with_word_lm",
-    "tokenize",
-    "train_add_one",
-    "tune_weights",
-    "viterbi_align",
-    "wer",
-    "werr",
-    "write_arpa",
-    "write_manifest",
-    "write_nbest",
-    "write_posteriors",
-    "write_transcripts",
-]

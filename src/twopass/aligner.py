@@ -65,16 +65,6 @@ class PronGraph:
     entries: tuple[tuple[int, float], ...]
     finals: frozenset[int]
 
-    def path_count(self) -> int:
-        """Number of distinct source-to-sink state paths."""
-        ways = [0] * len(self.phoneme_ids)
-        for s, _ in self.entries:
-            ways[s] += 1
-        for s in range(len(self.phoneme_ids)):
-            for p, _ in self.preds[s]:
-                ways[s] += ways[p]
-        return sum(ways[s] for s in self.finals)
-
     def min_path_states(self) -> int:
         """Length in states of the shortest source-to-sink path."""
         best = [None] * len(self.phoneme_ids)

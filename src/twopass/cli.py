@@ -29,6 +29,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError on bad usage; keeps its actions by dest for
+    _apply_config."""
+
+    def __init__(self, *args, **kwargs):
+        self.actions_by_dest: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions_by_dest[action.dest] = action
+        return action
+
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError("%s: %s" % (self.prog, message))
 
@@ -171,12 +183,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _apply_config(parser: _Parser, path: str) -> None:
     values = _read_config_file(path)
     coerced = {}
-    actions = {a.dest: a for a in parser._actions}
     for key, raw in values.items():
-        action = actions.get(key)
+        action = parser.actions_by_dest.get(key)
         if action is None:
             raise _UsageError("unknown config key: %s" % key)
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        if action.nargs == 0:
             if raw.lower() not in ("true", "false", "0", "1"):
                 raise _UsageError("config key %s expects true/false" % key)
             coerced[key] = raw.lower() in ("true", "1")
@@ -295,11 +306,10 @@ def _input_tasks(args) -> list[tuple[str, str]]:
 
 def _cmd_decode(args) -> int:
     vocab = core.load_vocabulary(args.vocab)
-    n_best = args.nbest if args.nbest is not None else min(10, args.beam)
     lm = load_arpa(args.lm) if args.lm else None
     ilm = load_arpa(args.ilm) if args.ilm else None
     config = BeamConfig(
-        beam_width=args.beam, n_best=n_best,
+        beam_width=args.beam, n_best=args.nbest,
         weights=FusionWeights(0.0, args.lambda_lm, args.lambda_ilm),
         lm=lm, ilm=ilm)
     tasks = _input_tasks(args)
@@ -373,6 +383,8 @@ def _load_references(path) -> list[tuple[str, tuple[str, ...]]]:
 def _cmd_tune(args) -> int:
     vocab = core.load_vocabulary(args.vocab)
     nbest_lists = core.load_nbest(args.nbest, vocab)
+    if not nbest_lists:
+        raise FormatError("%s: no N-best lists" % args.nbest)
     refs = dict(_load_references(args.ref))
     dev = []
     for nb in nbest_lists:

@@ -439,7 +439,8 @@ def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
 
 
 def _tab_lines(path):
-    """(line number, key, rest) of each non-blank "key TAB rest" line."""
+    """(key, rest) of each non-blank "key TAB rest" line; keys are unique."""
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -448,12 +449,16 @@ def _tab_lines(path):
             if "\t" not in line:
                 raise FormatError("%s: line %d: missing tab" % (path, lineno))
             key, rest = line.split("\t", 1)
-            yield lineno, key, rest
+            if key in seen:
+                raise FormatError(
+                    "%s: line %d: duplicate utterance %s" % (path, lineno, key))
+            seen.add(key)
+            yield key, rest
 
 
 def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]]]:
-    """Read "utt_id TAB text" transcript lines; text may be empty."""
-    return [(utt, tuple(text.split())) for _, utt, text in _tab_lines(path)]
+    """Read "utt_id TAB text" transcript lines; text may be empty, ids unique."""
+    return [(utt, tuple(text.split())) for utt, text in _tab_lines(path)]
 
 
 def write_transcripts(entries, path: str | os.PathLike) -> None:
@@ -465,15 +470,7 @@ def write_transcripts(entries, path: str | os.PathLike) -> None:
 def load_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read an "utt_id TAB path" list file; paths resolve against the file."""
     base = os.path.dirname(os.path.abspath(path))
-    out = []
-    seen: set[str] = set()
-    for lineno, utt, rel in _tab_lines(path):
-        if utt in seen:
-            raise FormatError(
-                "%s: line %d: duplicate utterance %s" % (path, lineno, utt))
-        seen.add(utt)
-        out.append((utt, os.path.join(base, rel)))
-    return out
+    return [(utt, os.path.join(base, rel)) for utt, rel in _tab_lines(path)]
 
 
 def write_manifest(entries, path: str | os.PathLike) -> None:

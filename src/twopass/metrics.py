@@ -96,13 +96,20 @@ def corpus_counts(pairs) -> ErrorCounts:
 def oracle_wer(nbest: NBestList, reference, vocab: Vocabulary) -> ErrorCounts:
     """Error counts of the minimum-error hypothesis in the list.
 
-    Ties go to the higher-ranked hypothesis.
+    Ties go to the higher-ranked hypothesis. Hypotheses that do not
+    detokenize are skipped; ValueError if none does.
     """
     best = None
     for hyp in nbest.hypotheses:
-        counts = wer(reference, detokenize(hyp.tokens, vocab))
+        try:
+            words = detokenize(hyp.tokens, vocab)
+        except ValueError:
+            continue
+        counts = wer(reference, words)
         if best is None or counts.errors < best.errors:
             best = counts
+    if best is None:
+        raise ValueError("no hypothesis of %s detokenizes" % nbest.utterance_id)
     return best
 
 

@@ -45,6 +45,17 @@ def random_matrix(rng, frames):
     return PosteriorMatrix(np.log(probs).astype(np.float32), PH)
 
 
+def path_count(graph):
+    """Number of distinct source-to-sink state paths of a pronunciation graph."""
+    ways = [0] * len(graph.phoneme_ids)
+    for s, _ in graph.entries:
+        ways[s] += 1
+    for s in range(len(graph.phoneme_ids)):
+        for p, _ in graph.preds[s]:
+            ways[s] += ways[p]
+    return sum(ways[s] for s in graph.finals)
+
+
 def brute_force_best(graph, matrix):
     """Max-scoring frame-state path by exhaustive depth-first search."""
     rows = matrix.values.astype(np.float64)
@@ -75,15 +86,15 @@ class TestGraphConstruction:
 
     def test_path_count_is_product_of_pronunciations(self):
         g = expand_pronunciations(["one", "two", "three"], self.LEX)
-        assert g.path_count() == 1 * 2 * 1
+        assert path_count(g) == 1 * 2 * 1
         g2 = expand_pronunciations(["two", "two"], self.LEX)
-        assert g2.path_count() == 4
+        assert path_count(g2) == 4
 
     def test_silence_doubles_every_slot(self):
         g = expand_pronunciations(["one", "two"], self.LEX,
                                   allow_silence=True, silence_phoneme=SIL)
         # 3 optional silence slots: start, between, end
-        assert g.path_count() == 1 * 2 * 2 ** 3
+        assert path_count(g) == 1 * 2 * 2 ** 3
 
     def test_min_path_states_is_sum_of_shortest_prons(self):
         g = expand_pronunciations(["one", "two", "three"], self.LEX)

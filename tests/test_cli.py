@@ -214,6 +214,29 @@ class TestRescore:
         assert self._rescore(workdir, out, "--jobs", jobs) == 1
         assert not out.exists()
 
+    def test_config_true_false_key_matches_flag(self, workdir, tmp_path):
+        data = workdir / "data"
+
+        def rescore(name, *extra):
+            out = tmp_path / (name + ".nbest")
+            rc = cli.main([
+                "rescore", "--nbest", str(workdir / "dev.nbest"),
+                "--vocab", str(data / "wordpieces.txt"),
+                "--list", str(data / "dev_phoneme.list"),
+                "--phoneme-vocab", str(data / "phonemes.txt"),
+                "--lexicon", str(data / "lexicon.tsv"), "--oov", "floor",
+                "--lambda-am", "0.5", "--out", str(out)] + list(extra))
+            return rc, out.read_bytes() if out.exists() else None
+
+        def config(value):
+            path = tmp_path / (value + ".cfg")
+            path.write_text("allow-silence = %s\n" % value)
+            return rescore(value, "--config", str(path))
+
+        flag, none = rescore("flag", "--allow-silence"), rescore("none")
+        assert config("true") == flag != none == config("false")
+        assert config("maybe") == (1, None)
+
     def test_rescore_is_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.nbest", tmp_path / "b.nbest"
         assert self._rescore(workdir, a, "--lambda-am", "0.5") == 0
@@ -329,8 +352,8 @@ class TestHandMadeLists:
 
     PIECES = ("<blank>", "▁Foo", "▁bar", "▁x")
 
-    def _files(self, tmp_path, ref_text="Foo bar", rows=None):
-        vocab = core.Vocabulary(self.PIECES)
+    def _files(self, tmp_path, ref_text="Foo bar", rows=None, pieces=PIECES):
+        vocab = core.Vocabulary(pieces)
         core.save_vocabulary(vocab, str(tmp_path / "vocab.txt"))
         if rows is None:
             rows = ["u1\t1\t-1.0\t-2.0\t-0.5\t-3.0\t▁Foo ▁bar",
@@ -339,7 +362,7 @@ class TestHandMadeLists:
             "".join(r + "\n" for r in rows), encoding="utf-8")
         (tmp_path / "ref.tsv").write_text(
             "u1\t%s\n" % ref_text, encoding="utf-8")
-        lm = train_add_one([["▁Foo", "▁bar"]], 2, vocabulary=self.PIECES[1:])
+        lm = train_add_one([pieces[1:3]], 2, vocabulary=pieces[1:])
         write_arpa(lm, str(tmp_path / "lm.arpa"))
         return {name: str(tmp_path / name) for name in
                 ("vocab.txt", "list.nbest", "ref.tsv", "lm.arpa")}
@@ -409,6 +432,38 @@ class TestHandMadeLists:
         assert self._tune(f, "--grid-lm", "0,1") == 2
         assert "non-finite" in capsys.readouterr().err
         assert self._score_nbest(f) == 2
+
+    def test_oracle_skips_hypothesis_that_does_not_detokenize(self, tmp_path,
+                                                              capsys):
+        # "z ▁bar" opens with a continuation token, below a clean top-1
+        f = self._files(tmp_path, ref_text="foo bar",
+                        pieces=("<blank>", "▁foo", "▁bar", "z"),
+                        rows=["u1\t1\t-1.0\t-2.0\t-0.5\t-3.0\t▁foo ▁bar",
+                              "u1\t2\t-2.0\t-2.0\t-0.5\t-3.0\tz ▁bar"])
+        assert self._score_nbest(f) == 0
+        assert capsys.readouterr().out == "corpus WER 0.0000\noracle WER 0.0000\n"
+        assert self._tune(f) == 0
+        assert capsys.readouterr().out.endswith("dev_wer=0.000000\n")
+
+    def test_duplicate_id_is_data_error(self, tmp_path, capsys):
+        f = self._files(tmp_path)
+        with open(f["ref.tsv"], "a", encoding="utf-8") as fh:
+            fh.write("u1\tbaz\n")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("u1\tFoo bar\n", encoding="utf-8")
+        assert self._tune(f) == 2
+        assert "line 2: duplicate utterance u1" in capsys.readouterr().err
+        assert self._score_hyp(f, str(hyp)) == 2
+        assert "line 2: duplicate utterance u1" in capsys.readouterr().err
+        f = self._files(tmp_path)
+        hyp.write_text("u1\tFoo bar\nu1\tbaz\n", encoding="utf-8")
+        assert self._score_hyp(f, str(hyp)) == 2
+        assert "hyp.tsv: line 2: duplicate utterance u1" in capsys.readouterr().err
+
+    def test_tune_empty_nbest_is_data_error(self, tmp_path, capsys):
+        f = self._files(tmp_path, rows=[])
+        assert self._tune(f) == 2
+        assert "list.nbest: no N-best lists" in capsys.readouterr().err
 
 
 class TestTopLevel:

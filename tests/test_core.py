@@ -390,8 +390,11 @@ class TestTranscriptsAndManifests:
             loader(path)
 
     def test_manifest_duplicate_utterance_rejected(self, tmp_path):
-        manifest = str(tmp_path / "list.tsv")
-        with open(manifest, "w") as fh:
-            fh.write("u1\ta.fpm\nu1\tb.fpm\n")
-        with pytest.raises(FormatError, match="line 2: duplicate utterance u1"):
-            load_manifest(manifest)
+        # manifests and transcripts share one line reader, and its check
+        path = str(tmp_path / "x.tsv")
+        with open(path, "w") as fh:
+            fh.write("u1\ta\n\nu2\tb\nu1\tc\n")
+        for loader in (load_manifest, load_transcripts):
+            with pytest.raises(FormatError,
+                               match="line 4: duplicate utterance u1"):
+                loader(path)

@@ -327,5 +327,7 @@ class TestTuning:
                 for seq in seqs]
             ref = tuple(rng.choice(["x", "y"], rng.integers(1, 4)))
             dev.append((NBestList("u%d" % u, hyps), ref))
-        grid = default_weight_grid(step=0.5)
+        halves = (0.0, 0.5, 1.0)
+        grid = [FusionWeights(a, l, i) for a in halves for l in halves
+                for i in halves if 0.0 in (a, l, i)]
         assert grid_search(dev, grid, WP) == reference_grid_search(dev, grid, WP)

@@ -151,6 +151,16 @@ class TestOracleWer:
         counts = oracle_wer(nbest, ("x", "y"), WP)
         assert (counts.substitutions, counts.deletions) == (1, 0)
 
+    def test_hypotheses_that_do_not_detokenize_are_skipped(self):
+        vocab = Vocabulary((BLANK, "▁foo", "▁bar", "z"))
+        # "z ▁bar" opens with a continuation token; "▁foo z" is "fooz bar"
+        counts = oracle_wer(_nbest((3, 2), (1, 3, 2), (1, 2)), ("foo", "bar"), vocab)
+        assert (counts.errors, counts.ref_length) == (0, 2)
+        counts = oracle_wer(_nbest((3, 2), (1, 3, 2)), ("foo", "bar"), vocab)
+        assert (counts.substitutions, counts.ref_length) == (1, 2)
+        with pytest.raises(ValueError, match="no hypothesis of u detokenizes"):
+            oracle_wer(_nbest((3, 2), (3,)), ("foo",), vocab)
+
     def test_oracle_never_worse_than_top(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
