@@ -33,7 +33,7 @@ class AlignOptions:
 
     oov_policy "strict" raises for any unalignable hypothesis (OOV word,
     empty word sequence, dangling continuation token, too few frames);
-    "floor" scores such hypotheses as frames * floor_log_prob instead.
+    "floor" scores such hypotheses as frames * floor_log_prob (<= 0) instead.
     phoneme_log_priors, when given, are subtracted from each frame row
     (posteriors used as pseudo-likelihoods); defaults off.
     """
@@ -49,6 +49,8 @@ class AlignOptions:
             raise ValueError("oov_policy must be 'strict' or 'floor'")
         if self.allow_silence and self.silence_phoneme is None:
             raise ValueError("allow_silence requires silence_phoneme")
+        if not self.floor_log_prob <= 0.0:
+            raise ValueError("floor_log_prob must be <= 0, got %r" % self.floor_log_prob)
 
 
 @dataclass(frozen=True)

@@ -168,15 +168,14 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError("%s: line %d: expected key = value" % (path, lineno))
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in core.read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError("%s: line %d: expected key = value" % (path, lineno))
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -232,9 +231,7 @@ def _cmd_synth(args) -> int:
     os.makedirs(post_dir, exist_ok=True)
     for split in ("train", "dev", "test"):
         core.write_transcripts(corpus.split(split), os.path.join(out, "%s.tsv" % split))
-    with open(os.path.join(out, "lexicon.tsv"), "w", encoding="utf-8") as fh:
-        for line in corpus.lexicon_lines:
-            fh.write(line + "\n")
+    core.write_lines(os.path.join(out, "lexicon.tsv"), corpus.lexicon_lines)
     core.save_vocabulary(corpus.wordpiece_vocab, os.path.join(out, "wordpieces.txt"))
     core.save_vocabulary(corpus.phoneme_vocab, os.path.join(out, "phonemes.txt"))
     if corpus.train:
@@ -405,11 +402,9 @@ def _cmd_tune(args) -> int:
             "%s: hypotheses lack am scores (rescore the list first)" % args.nbest)
     results = fusion.grid_search(dev, grid, vocab)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for weights, dev_wer in results:
-                fh.write("%s\t%s\t%s\t%.6f\n" % (
-                    weights.lambda_am, weights.lambda_lm,
-                    weights.lambda_ilm, dev_wer))
+        core.write_lines(args.report, (
+            "%s\t%s\t%s\t%.6f" % (w.lambda_am, w.lambda_lm, w.lambda_ilm, dev_wer)
+            for w, dev_wer in results))
     best, best_wer = fusion.select_weights(results)
     print("selected lambda_am=%.3f lambda_lm=%.3f lambda_ilm=%.3f dev_wer=%.6f"
           % (best.lambda_am, best.lambda_lm, best.lambda_ilm, best_wer))
@@ -417,14 +412,6 @@ def _cmd_tune(args) -> int:
 
 
 # --- score ---------------------------------------------------------------
-
-def _write_score_report(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, counts in rows:
-            fh.write("%s\t%d\t%d\t%d\t%d\t%.4f\n" % (
-                utt, counts.substitutions, counts.deletions,
-                counts.insertions, counts.ref_length, counts.wer))
-
 
 def _cmd_score(args) -> int:
     refs = _load_references(args.ref)
@@ -455,7 +442,10 @@ def _cmd_score(args) -> int:
     for _, counts in rows:
         total = total + counts
     if args.report:
-        _write_score_report(args.report, rows)
+        core.write_lines(args.report, (
+            "%s\t%d\t%d\t%d\t%d\t%.4f" % (
+                utt, c.substitutions, c.deletions, c.insertions, c.ref_length, c.wer)
+            for utt, c in rows))
     print("corpus WER %.4f" % total.wer)
     if oracle_total is not None:
         print("oracle WER %.4f" % oracle_total.wer)
@@ -481,10 +471,10 @@ def _cmd_buckets(args) -> int:
             core.detokenize(base[utt].top().tokens, vocab),
             core.detokenize(fused[utt].top().tokens, vocab)))
     stats = metrics.ppl_buckets(corpus, bucket_lm, args.k, vocab)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        for s in stats:
-            fh.write("%d\t%.4f\t%.4f\t%.4f\t%.4f\n" % (
-                s.bucket, s.mean_ppl, s.baseline_wer, s.fused_wer, s.werr))
+    core.write_lines(args.report, (
+        "%d\t%.4f\t%.4f\t%.4f\t%.4f" % (
+            s.bucket, s.mean_ppl, s.baseline_wer, s.fused_wer, s.werr)
+        for s in stats))
     log.info("bucket report -> %s", args.report)
     return 0
 
@@ -529,12 +519,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except (ToolkitError, OSError) as exc:  # before ValueError: some are both
+        print("twopass: %s" % exc, file=sys.stderr)
+        return 2
     except ValueError as exc:
         print("twopass: invalid arguments: %s" % exc, file=sys.stderr)
         return 1
-    except (ToolkitError, OSError) as exc:
-        print("twopass: %s" % exc, file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

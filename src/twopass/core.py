@@ -41,6 +41,30 @@ class AlignmentError(ToolkitError):
     """A sequence cannot be aligned to the available frames."""
 
 
+class DanglingTokenError(FormatError, ValueError):
+    """A token sequence opens with a word continuation piece."""
+
+
+def read_lines(path: str | os.PathLike):
+    """Yield (line number, line) for every line of a UTF-8 text file, from 1.
+
+    LF, CR LF and a lone CR each end a line; the newline is removed and
+    blank lines are kept. A file that is not UTF-8 raises FormatError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise FormatError("%s: not UTF-8 text" % path) from None
+
+
+def write_lines(path: str | os.PathLike, lines) -> None:
+    """Write each string of lines, newline-terminated, as UTF-8 text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def log_add(a: float, b: float) -> float:
     """Stable log(exp(a) + exp(b)) for scalars, tolerating -inf."""
     if a == MINUS_INF:
@@ -98,18 +122,14 @@ class Vocabulary:
 
 def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
     """Load a one-symbol-per-line UTF-8 vocabulary file."""
-    with open(path, encoding="utf-8") as fh:
-        symbols = [line.rstrip("\n").rstrip("\r") for line in fh]
     try:
-        return Vocabulary(tuple(symbols))
+        return Vocabulary(tuple(line for _, line in read_lines(path)))
     except ValueError as exc:
         raise FormatError("%s: %s" % (path, exc)) from None
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sym in vocab.symbols:
-            fh.write(sym + "\n")
+    write_lines(path, vocab.symbols)
 
 
 @dataclass(frozen=True)
@@ -200,7 +220,7 @@ def detokenize(tokens, vocab: Vocabulary) -> list[str]:
         if sym.startswith(WORD_BOUNDARY):
             words.append(sym[len(WORD_BOUNDARY):])
         elif not words:
-            raise ValueError("dangling continuation token: %s" % sym)
+            raise DanglingTokenError("dangling continuation token: %s" % sym)
         else:
             words[-1] += sym
     return words
@@ -228,7 +248,12 @@ def tokenize(words, vocab: Vocabulary) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScoreBundle:
-    """Per-hypothesis log-score components; am is absent until rescoring."""
+    """Per-hypothesis log-score components; am is absent until rescoring.
+
+    e2e, lm and ilm are finite, since a zero fusion weight times an infinite
+    score is NaN; am may also be -inf (a floored hypothesis), because fusion
+    skips the am term at weight 0.
+    """
 
     e2e: float
     lm: float = 0.0
@@ -237,11 +262,10 @@ class ScoreBundle:
 
     def __post_init__(self) -> None:
         for name in ("e2e", "lm", "ilm"):
-            val = getattr(self, name)
-            if math.isnan(val):
-                raise ValueError("%s score is NaN" % name)
-        if self.am is not None and math.isnan(self.am):
-            raise ValueError("am score is NaN")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("non-finite %s score" % name)
+        if self.am is not None and not (math.isfinite(self.am) or self.am == MINUS_INF):
+            raise ValueError("am score must be finite or -inf")
 
 
 @dataclass(frozen=True)
@@ -296,12 +320,6 @@ class Lexicon:
 
     entries: dict
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def words(self) -> list[str]:
-        return list(self.entries)
-
     def pronunciations(self, word: str):
         try:
             return self.entries[word]
@@ -318,7 +336,6 @@ def parse_lexicon(lines, phoneme_vocab: Vocabulary) -> Lexicon:
     """
     raw: dict[str, list[tuple[tuple[int, ...], float | None]]] = {}
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         fields = line.split("\t")
@@ -370,8 +387,11 @@ def parse_lexicon(lines, phoneme_vocab: Vocabulary) -> Lexicon:
 
 
 def load_lexicon(path: str | os.PathLike, phoneme_vocab: Vocabulary) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(fh, phoneme_vocab)
+    lines = [line for _, line in read_lines(path)]
+    try:
+        return parse_lexicon(lines, phoneme_vocab)
+    except FormatError as exc:
+        raise FormatError("%s: %s" % (path, exc)) from None
 
 
 _NA = "NA"
@@ -383,52 +403,40 @@ def write_nbest(nbest_lists, vocab: Vocabulary, path: str | os.PathLike) -> None
     The text column is the space-joined token strings (boundary markers kept),
     so reading the file back recovers the exact token sequences.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    def lines():
         for nbest in nbest_lists:
             for rank, hyp in enumerate(nbest.hypotheses, start=1):
                 s = hyp.scores
                 am = _NA if s.am is None else repr(s.am)
                 text = " ".join(vocab.symbol(t) for t in hyp.tokens)
-                fh.write("%s\t%d\t%s\t%s\t%s\t%s\t%s\n" % (
-                    nbest.utterance_id, rank, repr(s.e2e), repr(s.lm),
-                    repr(s.ilm), am, text))
+                yield "%s\t%d\t%r\t%r\t%r\t%s\t%s" % (
+                    nbest.utterance_id, rank, s.e2e, s.lm, s.ilm, am, text)
+
+    write_lines(path, lines())
 
 
 def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
     """Read an N-best TSV back into NBestList objects (file order kept)."""
     per_utt: dict[str, list[Hypothesis]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
             if len(fields) != 7:
-                raise FormatError(
-                    "%s: line %d: expected 7 fields, got %d" % (path, lineno, len(fields)))
+                raise FormatError("expected 7 fields, got %d" % len(fields))
             utt, rank_s, e2e_s, lm_s, ilm_s, am_s, text = fields
-            try:
-                rank = int(rank_s)
-                scores = ScoreBundle(
-                    e2e=float(e2e_s), lm=float(lm_s), ilm=float(ilm_s),
-                    am=None if am_s == _NA else float(am_s))
-            except ValueError as exc:
-                raise FormatError("%s: line %d: %s" % (path, lineno, exc)) from None
-            # A zero weight times an infinite lm or ilm is NaN; am may be
-            # -inf (--floor-logp -inf) because fusion skips am at weight 0.
-            for name in ("e2e", "lm", "ilm"):
-                if not math.isfinite(getattr(scores, name)):
-                    raise FormatError(
-                        "%s: line %d: non-finite %s score" % (path, lineno, name))
+            rank = int(rank_s)
+            scores = ScoreBundle(
+                e2e=float(e2e_s), lm=float(lm_s), ilm=float(ilm_s),
+                am=None if am_s == _NA else float(am_s))
             hyps = per_utt.setdefault(utt, [])
             if rank != len(hyps) + 1:
-                raise FormatError(
-                    "%s: line %d: rank %d out of order for %s" % (path, lineno, rank, utt))
-            try:
-                tokens = tuple(vocab.id_of(sym) for sym in text.split(" ") if sym)
-            except OOVError as exc:
-                raise FormatError("%s: line %d: %s" % (path, lineno, exc)) from None
-            hyps.append(Hypothesis(tokens, scores))
+                raise FormatError("rank %d out of order for %s" % (rank, utt))
+            tokens = tuple(vocab.id_of(sym) for sym in text.split(" ") if sym)
+        except (ValueError, ToolkitError) as exc:
+            raise FormatError("%s: line %d: %s" % (path, lineno, exc)) from None
+        hyps.append(Hypothesis(tokens, scores))
     out = []
     for utt, hyps in per_utt.items():
         try:
@@ -441,19 +449,17 @@ def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
 def _tab_lines(path):
     """(key, rest) of each non-blank "key TAB rest" line; keys are unique."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError("%s: line %d: missing tab" % (path, lineno))
-            key, rest = line.split("\t", 1)
-            if key in seen:
-                raise FormatError(
-                    "%s: line %d: duplicate utterance %s" % (path, lineno, key))
-            seen.add(key)
-            yield key, rest
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError("%s: line %d: missing tab" % (path, lineno))
+        key, rest = line.split("\t", 1)
+        if key in seen:
+            raise FormatError(
+                "%s: line %d: duplicate utterance %s" % (path, lineno, key))
+        seen.add(key)
+        yield key, rest
 
 
 def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]]]:
@@ -462,9 +468,7 @@ def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]
 
 
 def write_transcripts(entries, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, words in entries:
-            fh.write("%s\t%s\n" % (utt, " ".join(words)))
+    write_lines(path, ("%s\t%s" % (utt, " ".join(words)) for utt, words in entries))
 
 
 def load_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
@@ -475,9 +479,8 @@ def load_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
 
 def write_manifest(entries, path: str | os.PathLike) -> None:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, target in entries:
-            fh.write("%s\t%s\n" % (utt, os.path.relpath(target, base)))
+    write_lines(path, (
+        "%s\t%s" % (utt, os.path.relpath(target, base)) for utt, target in entries))
 
 
 def with_am(hyp: Hypothesis, am: float) -> Hypothesis:

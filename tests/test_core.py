@@ -7,6 +7,7 @@ import pytest
 
 from twopass.core import (
     BLANK,
+    DanglingTokenError,
     FormatError,
     FusionWeights,
     Hypothesis,
@@ -25,9 +26,11 @@ from twopass.core import (
     load_transcripts,
     load_vocabulary,
     parse_lexicon,
+    read_lines,
     save_vocabulary,
     tokenize,
     with_am,
+    write_lines,
     write_manifest,
     write_nbest,
     write_posteriors,
@@ -37,6 +40,33 @@ from twopass.core import (
 
 def _vocab():
     return Vocabulary((BLANK, "▁ab", "▁a", "b", "c"))
+
+
+class TestTextLines:
+
+    def test_every_newline_kind_ends_a_line(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"a\nb\r\nc\rd\r\n\n\te \x0b f\n\n")
+        assert list(read_lines(path)) == [
+            (1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, ""), (6, "\te \x0b f"),
+            (7, "")]
+        path.write_bytes(b"last line unterminated")
+        assert list(read_lines(path)) == [(1, "last line unterminated")]
+        path.write_bytes(b"")
+        assert list(read_lines(path)) == []
+
+    def test_not_utf8_is_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("u1\tcaf\u00e9\n".encode("latin-1"))
+        with pytest.raises(FormatError, match="latin1.txt: not UTF-8 text"):
+            list(read_lines(path))
+
+    def test_write_lines_round_trip(self, tmp_path):
+        path = tmp_path / "x.txt"
+        lines = ["▁a b", "", "\tc"]
+        write_lines(path, iter(lines))
+        assert path.read_bytes() == "▁a b\n\n\tc\n".encode("utf-8")
+        assert [line for _, line in read_lines(path)] == lines
 
 
 def _uniform_matrix(t, vocab, rng=None):
@@ -112,6 +142,13 @@ class TestTokenize:
         v = _vocab()
         with pytest.raises(ValueError):
             detokenize((3,), v)  # bare "b" opens no word
+
+    def test_dangling_continuation_is_data_and_value_error(self):
+        # a data fault for the CLI; ValueError for callers that catch that
+        with pytest.raises(DanglingTokenError, match="dangling continuation token: b") as info:
+            detokenize((3, 1), _vocab())
+        assert isinstance(info.value, FormatError)
+        assert isinstance(info.value, ValueError)
 
     def test_detokenize_rejects_blank(self):
         with pytest.raises(ValueError):
@@ -214,6 +251,18 @@ class TestScoresAndHypotheses:
     def test_score_bundle_rejects_nan(self):
         with pytest.raises(ValueError):
             ScoreBundle(e2e=float("nan"))
+
+    @pytest.mark.parametrize("field", ["e2e", "lm", "ilm"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_score_bundle_requires_finite_components(self, field, value):
+        with pytest.raises(ValueError, match="non-finite %s score" % field):
+            ScoreBundle(**{"e2e": -1.0, field: value})
+
+    def test_score_bundle_am_may_be_minus_inf_only(self):
+        assert ScoreBundle(e2e=-1.0, am=-math.inf).am == -math.inf
+        for am in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="am score must be finite or -inf"):
+                ScoreBundle(e2e=-1.0, am=am)
 
     def test_fusion_weights_must_be_nonnegative(self):
         with pytest.raises(ValueError):
@@ -355,6 +404,12 @@ class TestLexiconParsing:
         lex = load_lexicon(path, self.PH)
         assert len(lex.pronunciations("w")) == 2
         assert len(lex.pronunciations("v")) == 1
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("w\tp0\n\nv\tp9\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="lex.tsv: line 3: unknown symbol: p9"):
+            load_lexicon(path, self.PH)
 
 
 class TestTranscriptsAndManifests:

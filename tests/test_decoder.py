@@ -30,8 +30,10 @@ from twopass.core import (
     Vocabulary,
     log_add,
 )
-from twopass.decoder import BeamConfig, ctc_label_prob, prefix_beam_search
+from twopass.decoder import BeamConfig, prefix_beam_search
 from twopass.ngram import SENTENCE_START, train_add_one
+
+from oracles import ctc_label_prob
 
 WIDE = 4096  # beam wide enough that nothing is ever pruned in these tests
 

@@ -8,6 +8,7 @@ from twopass import fusion
 from twopass.aligner import AlignOptions, am_score
 from twopass.core import (
     BLANK,
+    FormatError,
     FusionWeights,
     Hypothesis,
     NBestList,
@@ -26,10 +27,11 @@ from twopass.fusion import (
     rescore_nbest,
     score_with_word_lm,
     select_weights,
-    tune_weights,
 )
 from twopass.metrics import ErrorCounts, wer
 from twopass.ngram import train_add_one
+
+from oracles import tune_weights
 
 WP = Vocabulary((BLANK, "▁x", "▁y"))
 
@@ -191,6 +193,15 @@ class TestScoreWithWordLm:
         assert h.scores.e2e == -1.0
         assert h.scores.ilm == -4.0
         assert h.scores.am == -5.0
+
+    def test_hypothesis_without_words_is_format_error(self):
+        # rescore --word-lm exits 2 on it, even below the top
+        lm = train_add_one([["x", "y"]], order=2)
+        vocab = Vocabulary((BLANK, "▁x", "y"))
+        nbest = NBestList("u", (Hypothesis((1,), bundle(-1.0)),
+                                Hypothesis((2, 1), bundle(-2.0))))
+        with pytest.raises(FormatError, match="dangling continuation token: y"):
+            score_with_word_lm(nbest, lm, vocab)
 
 
 class TestWeightGrid:

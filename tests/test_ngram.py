@@ -195,6 +195,41 @@ class TestArpaErrors:
         with pytest.raises(FormatError):
             self._load(tmp_path, "\\data\\\nngram 1=1\n\n\\1-grams:\n-1\ta\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("x\n\\data\\\n", "expected \\data\\ header"),
+        ("\n \n", "missing \\data\\ header"),
+        ("\\data\\\nngram 2=1\n", "non-consecutive ngram counts"),
+        ("\\data\\\n\\1-grams:\n", "no ngram counts declared"),
+        ("\\data\\\nngram 1=1\n\n x \n", "line 4: unexpected line 'x'"),
+        ("\\data\\\nngram 1=1\n\\2-grams:\n", "sections out of order"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-1\n", "line 4: malformed line"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-1 a 0 0\n", "line 4: malformed line"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-1 a x\n", "line 4: malformed line"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\ninf a\n", "line 4: non-finite value"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n1 a\n", "line 4: positive log-probability"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-1 a\n-2 a\n", "line 5: duplicate n-gram"),
+        ("\\data\\\nngram 1=1\nngram 2=1\n\\1-grams:\n-1 a\n\\2-grams:\n-1 b a\n",
+         "line 7: n-gram referencing unseen context"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-1 a\n", "missing \\end\\ marker"),
+        ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-1 a\n\\end\\\n",
+         "missing n-gram sections"),
+        ("\\data\\\nngram 1=2\n\\1-grams:\n-1 a\n\\end\\\n",
+         "1-gram count mismatch (declared 2, found 1)"),
+    ])
+    def test_message_names_file_and_fault(self, tmp_path, text, message):
+        with pytest.raises(FormatError) as info:
+            self._load(tmp_path, text)
+        assert str(info.value) == "%s: %s" % (tmp_path / "bad.arpa", message)
+
+    @pytest.mark.parametrize("text", [
+        "\\data\\\nngram 1=%s\n" % ("9" * 5000),
+        "\\data\\\nngram 1=1\n\\%s-grams:\n" % ("1" * 5000),
+    ])
+    def test_overlong_number_is_format_error(self, tmp_path, text):
+        # int() raises ValueError beyond 4300 digits
+        with pytest.raises(FormatError):
+            self._load(tmp_path, text)
+
     def test_nan_in_toy_file(self, tmp_path):
         with open(TOY_ARPA) as fh:
             text = fh.read()
