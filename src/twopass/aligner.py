@@ -155,12 +155,11 @@ def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     log_prior_shift (per-phoneme log-priors, optional) is subtracted from
     every frame row before scoring.
     """
-    t_frames = posteriors.frames
     n_states = len(graph.phoneme_ids)
     for ph in graph.phoneme_ids:
         if not (0 <= ph < posteriors.symbols):
             raise ValueError("phoneme id %d outside posterior matrix" % ph)
-    if t_frames < graph.min_path_states():
+    if posteriors.frames < graph.min_path_states():
         raise AlignmentError("utterance too short to align")
 
     rows = posteriors.values.astype(float)
@@ -169,27 +168,28 @@ def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
         if len(shift) != posteriors.symbols:
             raise ValueError("log_prior_shift length mismatch")
         rows = rows - [shift]
+    # emissions[t][s]: the frame-t log-score of state s, as Python floats.
+    emissions = rows[:, list(graph.phoneme_ids)].tolist()
     delta = [MINUS_INF] * n_states
-    row0 = rows[0]
+    e = emissions[0]
     for s, charge in graph.entries:
-        cand = charge + row0[graph.phoneme_ids[s]]
+        cand = charge + e[s]
         if cand > delta[s]:
             delta[s] = cand
     back: list[list[int]] = []
-    for t in range(1, t_frames):
-        row = rows[t]
+    for e in emissions[1:]:
         nxt = [MINUS_INF] * n_states
         bp = [-1] * n_states
-        for s in range(n_states):
+        for s, preds in enumerate(graph.preds):
             best = delta[s]  # self-loop
             best_p = s
-            for p, charge in graph.preds[s]:
+            for p, charge in preds:
                 cand = delta[p] + charge
                 if cand > best:
                     best = cand
                     best_p = p
             if best != MINUS_INF:
-                nxt[s] = best + row[graph.phoneme_ids[s]]
+                nxt[s] = best + e[s]
                 bp[s] = best_p
         delta = nxt
         back.append(bp)
@@ -219,28 +219,16 @@ def am_score(hypothesis: Hypothesis, posteriors: PosteriorMatrix,
     it against the phoneme posteriors. Unalignable hypotheses follow the
     OOV policy: strict raises, floor returns frames * floor_log_prob.
     """
-    floor = options.oov_policy == "floor"
-
-    def floored(exc: Exception) -> float:
-        if floor:
-            return posteriors.frames * options.floor_log_prob
-        raise exc
-
     try:
         words = detokenize(hypothesis.tokens, vocab)
-    except ValueError as exc:
-        return floored(AlignmentError(str(exc)))
-    if not words:
-        return floored(AlignmentError("empty hypothesis"))
-    try:
+        if not words:
+            raise AlignmentError("empty hypothesis")
         graph = expand_pronunciations(
             words, lexicon, allow_silence=options.allow_silence,
             silence_phoneme=options.silence_phoneme)
-    except OOVError as exc:
-        return floored(exc)
-    try:
-        score, _ = viterbi_align(
-            posteriors, graph, log_prior_shift=options.phoneme_log_priors)
-    except AlignmentError as exc:
-        return floored(exc)
-    return score
+        return viterbi_align(
+            posteriors, graph, log_prior_shift=options.phoneme_log_priors)[0]
+    except (OOVError, AlignmentError):
+        if options.oov_policy == "floor":
+            return posteriors.frames * options.floor_log_prob
+        raise

@@ -41,8 +41,9 @@ class AlignmentError(ToolkitError):
     """A sequence cannot be aligned to the available frames."""
 
 
-class DanglingTokenError(FormatError, ValueError):
-    """A token sequence opens with a word continuation piece."""
+class DanglingTokenError(FormatError, AlignmentError, ValueError):
+    """A token sequence opens with a word continuation piece, so it has no
+    word sequence to align."""
 
 
 def read_lines(path: str | os.PathLike):
@@ -381,6 +382,9 @@ def parse_lexicon(lines, phoneme_vocab: Vocabulary) -> Lexicon:
         else:
             total = sum(probs)
             norm = [p / total for p in probs]
+            if 0.0 in norm:
+                raise FormatError(
+                    "word %r: a probability normalizes to 0" % word)
         entries[word] = tuple(
             (phones, prior) for (phones, _), prior in zip(prons, norm))
     return Lexicon(entries)
@@ -447,7 +451,8 @@ def load_nbest(path: str | os.PathLike, vocab: Vocabulary) -> list[NBestList]:
 
 
 def _tab_lines(path):
-    """(key, rest) of each non-blank "key TAB rest" line; keys are unique."""
+    """(line number, key, rest) of each non-blank "key TAB rest" line; keys
+    are unique."""
     seen: set[str] = set()
     for lineno, line in read_lines(path):
         if not line:
@@ -459,12 +464,12 @@ def _tab_lines(path):
             raise FormatError(
                 "%s: line %d: duplicate utterance %s" % (path, lineno, key))
         seen.add(key)
-        yield key, rest
+        yield lineno, key, rest
 
 
 def load_transcripts(path: str | os.PathLike) -> list[tuple[str, tuple[str, ...]]]:
     """Read "utt_id TAB text" transcript lines; text may be empty, ids unique."""
-    return [(utt, tuple(text.split())) for utt, text in _tab_lines(path)]
+    return [(utt, tuple(text.split())) for _, utt, text in _tab_lines(path)]
 
 
 def write_transcripts(entries, path: str | os.PathLike) -> None:
@@ -472,9 +477,17 @@ def write_transcripts(entries, path: str | os.PathLike) -> None:
 
 
 def load_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
-    """Read an "utt_id TAB path" list file; paths resolve against the file."""
+    """Read an "utt_id TAB path" list file; paths resolve against the file.
+
+    A path with a NUL byte names no file and is a FormatError.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    return [(utt, os.path.join(base, rel)) for utt, rel in _tab_lines(path)]
+    entries = []
+    for lineno, utt, rel in _tab_lines(path):
+        if "\0" in rel:
+            raise FormatError("%s: line %d: NUL byte in path" % (path, lineno))
+        entries.append((utt, os.path.join(base, rel)))
+    return entries
 
 
 def write_manifest(entries, path: str | os.PathLike) -> None:

@@ -8,6 +8,8 @@ whenever am = e2e - ilm; equivalent_lm_weights computes that mapping.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import (
     FusionWeights,
     Hypothesis,
@@ -83,10 +85,7 @@ def score_with_word_lm(nbest: NBestList, lm: NGramModel,
     for hyp in nbest.hypotheses:
         words = detokenize(hyp.tokens, vocab)
         lm_score = lm.score_sequence(words, include_eos=True)
-        out.append(Hypothesis(
-            hyp.tokens, ScoreBundle(
-                e2e=hyp.scores.e2e, lm=lm_score, ilm=hyp.scores.ilm,
-                am=hyp.scores.am)))
+        out.append(Hypothesis(hyp.tokens, replace(hyp.scores, lm=lm_score)))
     return NBestList(nbest.utterance_id, tuple(out))
 
 

@@ -2,8 +2,12 @@
 
 ctc_label_prob is the exact CTC forward sum that the decoder tests and
 acceptance checks 02-03 compare the beam search against; tune_weights is
-the one-call form of grid search plus weight selection.
+the one-call form of grid search plus weight selection;
+reference_viterbi_align is the forced-alignment recursion that indexes a
+float64 numpy row per cell, which aligner.viterbi_align must reproduce bit
+for bit.
 """
+from twopass.aligner import PronGraph
 from twopass.core import MINUS_INF, AlignmentError, PosteriorMatrix, log_add
 from twopass.fusion import grid_search, select_weights
 
@@ -55,3 +59,65 @@ def ctc_label_prob(posteriors: PosteriorMatrix, labels) -> float:
 def tune_weights(dev, grid, vocab):
     """(best weights, best corpus WER) of grid_search, by select_weights."""
     return select_weights(grid_search(dev, grid, vocab))
+
+
+def reference_viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
+                            log_prior_shift=None) -> tuple[float, tuple[int, ...]]:
+    """(log-score, per-frame phoneme ids) of the best path through graph.
+
+    Reads each emission as a numpy float64 scalar, row[phoneme_ids[s]], in
+    the same addition order as viterbi_align; same exceptions.
+    """
+    t_frames = posteriors.frames
+    n_states = len(graph.phoneme_ids)
+    for ph in graph.phoneme_ids:
+        if not (0 <= ph < posteriors.symbols):
+            raise ValueError("phoneme id %d outside posterior matrix" % ph)
+    if t_frames < graph.min_path_states():
+        raise AlignmentError("utterance too short to align")
+
+    rows = posteriors.values.astype(float)
+    if log_prior_shift is not None:
+        shift = list(log_prior_shift)
+        if len(shift) != posteriors.symbols:
+            raise ValueError("log_prior_shift length mismatch")
+        rows = rows - [shift]
+    delta = [MINUS_INF] * n_states
+    row0 = rows[0]
+    for s, charge in graph.entries:
+        cand = charge + row0[graph.phoneme_ids[s]]
+        if cand > delta[s]:
+            delta[s] = cand
+    back: list[list[int]] = []
+    for t in range(1, t_frames):
+        row = rows[t]
+        nxt = [MINUS_INF] * n_states
+        bp = [-1] * n_states
+        for s in range(n_states):
+            best = delta[s]  # self-loop
+            best_p = s
+            for p, charge in graph.preds[s]:
+                cand = delta[p] + charge
+                if cand > best:
+                    best = cand
+                    best_p = p
+            if best != MINUS_INF:
+                nxt[s] = best + row[graph.phoneme_ids[s]]
+                bp[s] = best_p
+        delta = nxt
+        back.append(bp)
+
+    best_final = None
+    best_score = MINUS_INF
+    for s in sorted(graph.finals):
+        if delta[s] > best_score:
+            best_score = delta[s]
+            best_final = s
+    if best_final is None or best_score == MINUS_INF:
+        raise AlignmentError("utterance too short to align")
+    states = [best_final]
+    for bp in reversed(back):
+        states.append(bp[states[-1]])
+    states.reverse()
+    alignment = tuple(graph.phoneme_ids[s] for s in states)
+    return float(best_score), alignment

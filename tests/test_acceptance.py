@@ -1,6 +1,6 @@
 """Acceptance suite for the two-pass decoding toolkit.
 
-Ten checks, each printing one [PASS]/[FAIL] verdict line (echoed in the
+Eleven checks, each printing one [PASS]/[FAIL] verdict line (echoed in the
 terminal summary, see conftest.py):
 
   01  relative-WER-reduction arithmetic on five hand-computed pairs
@@ -13,6 +13,8 @@ terminal summary, see conftest.py):
   08  errors recovered by rescoring concentrate in high-perplexity buckets
   09  WER equals an independent edit-distance DP; oracle never worse
   10  the full pipeline is byte-identical across reruns with one seed
+  11  the demo experiment's files match the sha256 digests that the
+      benchmark records in perfbench/expected.json (read, never written)
 
 Checks 07/08 drive the committed configs/demo.cfg end to end through the
 command line: synthesize, first-pass decode, forced-alignment rescoring,
@@ -20,6 +22,7 @@ weight tuning on dev, final scoring on test.
 """
 import hashlib
 import itertools
+import json
 import math
 import time
 from pathlib import Path
@@ -36,6 +39,7 @@ import oracles
 HERE = Path(__file__).resolve().parent
 DEMO_CFG = HERE.parent / "configs" / "demo.cfg"
 TOY_ARPA = HERE / "data" / "toy_bigram.arpa"
+BENCH_EXPECTED = HERE.parent / "perfbench" / "expected.json"
 
 RESULTS: list[str] = []
 
@@ -415,6 +419,26 @@ class TestAcceptance:
         _check(10, "synth/decode/rescore/score rerun is byte-identical "
                    "(%d artifacts)" % len(left),
                left == right and len(left) > 0)
+
+    def test_11_demo_artifacts_match_benchmark_digests(self, demo):
+        expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+        expected = expected["demo"]["artifacts"]
+        # The benchmark folds a posteriors/ directory into one digest of its
+        # sorted "name TAB sha256" lines.
+        got, folded = {}, []
+        for name, digest in self._tree_hash(demo["data"].parent).items():
+            if name.startswith("data/posteriors/"):
+                folded.append("%s\t%s\n" % (name.rsplit("/", 1)[1], digest))
+            else:
+                got[name] = digest
+        got["data/posteriors/"] = hashlib.sha256(
+            "".join(folded).encode("utf-8")).hexdigest()
+        want = {name: digest for name, digest in expected.items()
+                if name.startswith("data/") or name.endswith(".nbest")}
+        same = sum(got.get(name) == digest for name, digest in want.items())
+        _check(11, "demo files match the benchmark's recorded digests "
+                   "(%d/%d, %d posterior files folded)"
+               % (same, len(want), len(folded)), got == want)
 
     @staticmethod
     def _mini_pipeline(root: Path) -> None:

@@ -2,7 +2,8 @@
 
 viterbi_align is checked against a brute-force search that enumerates every
 frame-state path through the pronunciation graph (entry charges, transition
-charges and all) and takes the max.  Graph construction is checked through
+charges and all) and takes the max, and bit for bit against the reference
+recursion in oracles.py.  Graph construction is checked through
 closed-form path counts: a sequence of words with n1, n2, ... pronunciations
 and optional silence at the s possible slots admits prod(ni) * 2^s paths.
 """
@@ -29,6 +30,8 @@ from twopass.core import (
     Vocabulary,
     parse_lexicon,
 )
+
+import oracles
 
 PH = Vocabulary(("p0", "p1", "p2", "sil"))
 SIL = PH.id_of("sil")
@@ -228,6 +231,72 @@ class TestViterbi:
         m = PosteriorMatrix(np.zeros((2, 1), dtype=np.float32), small)
         with pytest.raises(ValueError):
             viterbi_align(m, g)
+
+
+def random_alignment_case(rng):
+    """(matrix, graph, log_prior_shift) over a random lexicon and word
+    sequence. Silence, explicit priors, a shift and a too-short matrix each
+    come up in about half the cases or less; the matrix is uniform in one
+    case in four and has two equal columns in another, so that exact ties
+    decide the alignment."""
+    def count(low, high):
+        return int(rng.integers(low, high))
+
+    symbols = count(3, 7)
+    ph = Vocabulary(tuple("p%d" % i for i in range(symbols - 1)) + ("sil",))
+    lines = []
+    for w in range(count(1, 4)):
+        prons = {tuple(rng.integers(0, symbols - 1, size=count(1, 4)).tolist())
+                 for _ in range(count(1, 4))}
+        explicit = rng.random() < 0.5
+        for pron in sorted(prons):
+            prior = ""
+            if explicit:
+                prob = round(float(rng.uniform(0.05, 1.0)), 3)
+                prior = "%r\t" % (0.5 if rng.random() < 0.5 else prob)
+            lines.append("w%d\t%s%s" % (w, prior, " ".join("p%d" % x for x in pron)))
+    lex = parse_lexicon(lines, ph)
+    words = [str(rng.choice(sorted(lex.entries))) for _ in range(count(1, 4))]
+    silence = bool(rng.integers(2))
+    graph = expand_pronunciations(
+        words, lex, allow_silence=silence,
+        silence_phoneme=ph.id_of("sil") if silence else None)
+    frames = max(1, graph.min_path_states() + count(-2, 5))
+    kind = count(0, 4)
+    if kind == 0:
+        probs = np.full((frames, symbols), 1.0 / symbols)
+    else:
+        probs = rng.random((frames, symbols)) + 1e-3
+        if kind == 1:
+            probs[:, 1] = probs[:, 0]
+        probs /= probs.sum(axis=1, keepdims=True)
+    matrix = PosteriorMatrix(np.log(probs).astype(np.float32), ph)
+    shift = None
+    if rng.random() < 0.4:
+        shift = np.log(rng.dirichlet(np.ones(symbols))).tolist()
+    return matrix, graph, shift
+
+
+def outcome(align, matrix, graph, shift):
+    try:
+        return align(matrix, graph, log_prior_shift=shift)
+    except AlignmentError as exc:
+        return type(exc), str(exc)
+
+
+class TestViterbiMatchesReference:
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(2718)
+        aligned = 0
+        for trial in range(600):
+            matrix, graph, shift = random_alignment_case(rng)
+            got = outcome(viterbi_align, matrix, graph, shift)
+            want = outcome(oracles.reference_viterbi_align,
+                           matrix, graph, shift)
+            assert got == want, "trial %d" % trial
+            aligned += isinstance(got[0], float)
+        assert 300 < aligned < 600  # both outcomes are exercised
 
 
 WP = Vocabulary((BLANK, "▁go", "▁stop", "p"))

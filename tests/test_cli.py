@@ -4,14 +4,18 @@ Most commands are driven in-process through cli.main for speed; one test
 runs the installed module via a real subprocess to cover the entry point.
 Exit code contract: 0 ok, 1 usage problems, 2 broken or missing data.
 """
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twopass import cli, core
 from twopass.ngram import train_add_one, write_arpa
+
+DEMO_CFG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 SYNTH_ARGS = [
     "--seed", "11", "--vocab-size", "8", "--phonemes", "5",
@@ -131,6 +135,16 @@ class TestDecode:
             "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
             "--vocab", str(workdir / "data" / "wordpieces.txt"),
             "--lambda-lm", "0.5", "--out", str(tmp_path / "x.nbest")]) == 1
+
+    def test_nul_byte_in_manifest_path_is_data_error(self, workdir, tmp_path,
+                                                     capsys):
+        listing = tmp_path / "nul.list"
+        listing.write_text("u1\tx\0y.fpm\n", encoding="utf-8")
+        assert cli.main([
+            "decode", "--list", str(listing),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--out", str(tmp_path / "x.nbest")]) == 2
+        assert "nul.list: line 1: NUL byte in path" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -254,6 +268,41 @@ class TestRescore:
         assert self._rescore(workdir, a, "--lambda-am", "0.5") == 0
         assert self._rescore(workdir, b, "--lambda-am", "0.5") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_word_missing_from_word_lm_is_data_error_under_floor(
+            self, workdir, tmp_path, capsys):
+        # --oov governs the am column only
+        lm = tmp_path / "other.arpa"
+        write_arpa(train_add_one([["zz"]], 2), str(lm))
+        assert self._rescore(workdir, tmp_path / "x.nbest",
+                             "--word-lm", str(lm)) == 2
+        assert "token not in LM vocabulary" in capsys.readouterr().err
+
+    def test_nul_byte_in_manifest_path_is_data_error(self, workdir, tmp_path,
+                                                     capsys):
+        data = workdir / "data"
+        lines = (data / "dev_phoneme.list").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == 6
+        lines[3] = lines[3].replace(".fpm", "\0.fpm")
+        listing = data / "nul.list"  # relative paths resolve as before
+        listing.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # argparse keeps the last value of a repeated flag
+        assert self._rescore(workdir, tmp_path / "x.nbest",
+                             "--list", str(listing)) == 2
+        assert "nul.list: line 4: NUL byte in path" in capsys.readouterr().err
+
+    def test_prior_that_underflows_to_zero_is_data_error(self, workdir, tmp_path,
+                                                         capsys):
+        lexicon = tmp_path / "zero.tsv"
+        lexicon.write_text(
+            (workdir / "data" / "lexicon.tsv").read_text(encoding="utf-8")
+            + "zz\t1\tsil\nzz\t1\tsil sil\nzz\t5e-324\tsil sil sil\n",
+            encoding="utf-8")
+        assert self._rescore(workdir, tmp_path / "x.nbest",
+                             "--lexicon", str(lexicon)) == 2
+        assert "zero.tsv: word 'zz': a probability normalizes to 0" \
+            in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +597,74 @@ def test_non_utf8_text_input_is_data_error(workdir, rescored, tmp_path, capsys,
         argv = argv[:at] + [str(bad)] + argv[at + 1:]
     assert cli.main(argv) == 2
     assert "%s: not UTF-8 text" % bad in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def demo_slice(tmp_path_factory):
+    """The first 4 dev utterances of configs/demo.cfg, decoded."""
+    root = tmp_path_factory.mktemp("slice")
+    data = root / "data"
+    assert cli.main([
+        "synth", "--config", str(DEMO_CFG), "--out-dir", str(data),
+        "--train-utts", "0", "--dev-utts", "4", "--test-utts", "0"]) == 0
+    assert cli.main([
+        "decode", "--list", str(data / "dev_e2e.list"),
+        "--vocab", str(data / "wordpieces.txt"),
+        "--beam", "8", "--out", str(root / "dev.nbest")]) == 0
+    return root
+
+
+_PIECES = ("", "\t", "\0", "\r", " ", ".", "-", "e", "0", "9", "nan", "inf",
+           "-inf", "1e999", "5e-324", "NA", core.WORD_BOUNDARY, core.BLANK,
+           "sil", "x")
+
+
+def _mutations(text, rng):
+    """Seeded edits of a text file: each piece put in place of a random
+    tab field or spliced into a random line, then a dropped, a repeated and
+    a swapped line, and a truncation."""
+    lines = text.split("\n")
+    for piece in _PIECES:
+        out = list(lines)
+        i = rng.randrange(len(out))
+        if rng.random() < 0.5:
+            fields = out[i].split("\t")
+            fields[rng.randrange(len(fields))] = piece
+            out[i] = "\t".join(fields)
+        else:
+            k = rng.randrange(len(out[i]) + 1)
+            out[i] = out[i][:k] + piece + out[i][k + rng.randrange(2):]
+        yield "\n".join(out)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    yield "\n".join(lines[:i] + lines[i + 1:])
+    yield "\n".join(lines[:i] + [lines[j]] + lines[i:])
+    swapped = list(lines)
+    swapped[i], swapped[j] = lines[j], lines[i]
+    yield "\n".join(swapped)
+    yield text[:rng.randrange(len(text))]
+
+
+def test_rescore_exits_0_or_2_on_mutated_inputs(demo_slice, tmp_path, capsys):
+    data = demo_slice / "data"
+    inputs = {"--nbest": demo_slice / "dev.nbest",
+              "--vocab": data / "wordpieces.txt",
+              "--list": data / "dev_phoneme.list",
+              "--phoneme-vocab": data / "phonemes.txt",
+              "--lexicon": data / "lexicon.tsv"}
+    rng = random.Random(2)
+    codes = []
+    for flag, original in inputs.items():
+        mutant = original.with_name("mutant" + original.suffix)
+        for text in _mutations(original.read_text(encoding="utf-8"), rng):
+            mutant.write_text(text, encoding="utf-8", newline="")
+            argv = ["rescore", "--allow-silence", "--oov", "floor",
+                    "--out", str(tmp_path / "out.nbest")]
+            for name, path in inputs.items():
+                argv += [name, str(mutant if name == flag else path)]
+            code = cli.main(argv)
+            assert code in (0, 2), (flag, repr(text), capsys.readouterr().err)
+            codes.append(code)
+    assert 0 in codes and 2 in codes
 
 
 class TestTopLevel:

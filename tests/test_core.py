@@ -380,6 +380,11 @@ class TestLexiconParsing:
         priors = sorted(prior for _, prior in lex.pronunciations("w"))
         np.testing.assert_allclose(priors, [0.25, 0.75], atol=1e-12)
 
+    def test_prior_that_normalizes_to_zero_rejected(self):
+        # 5e-324 / 2 underflows; a zero prior has no log
+        with pytest.raises(FormatError, match="word 'w': a probability normalizes to 0"):
+            parse_lexicon(["w\t1\tp0", "w\t1\tp1", "w\t5e-324\tsil"], self.PH)
+
     def test_mixed_explicit_and_missing_rejected(self):
         with pytest.raises(FormatError):
             parse_lexicon(["w\t0.6\tp0", "w\tp1"], self.PH)
