@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Results go to stdout or
 the requested output files; the effective configuration and progress notes
-are logged to stderr. An optional "key = value" config file supplies flag
-defaults; flags given on the command line take precedence. Utterance-level
-parallelism is available through --jobs (default 1); outputs are
-order-stable regardless of the worker count.
+are logged to stderr. An optional "key = value" config file may give any
+flag, required ones included: its lines become flags placed before the
+command line's, so argparse checks them and flags on the command line take
+precedence. Usage is settled before any input file is read.
+Utterance-level parallelism is available through --jobs (default 1);
+outputs are order-stable regardless of the worker count.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -29,17 +32,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError on bad usage; keeps its actions by dest for
-    _apply_config."""
+    """Raises _UsageError on bad usage; keeps its actions by dest, the keys
+    of a config file."""
 
     def __init__(self, *args, **kwargs):
         self.actions_by_dest: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
+    def _add_action(self, action):  # argparse hook; groups add through it too
         self.actions_by_dest[action.dest] = action
-        return action
+        return super()._add_action(action)
 
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError("%s: %s" % (self.prog, message))
@@ -62,47 +64,72 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# SynthConfig field -> its flag, or the (lo, hi) flags of a range field.
+_SYNTH_FLAGS = {
+    "seed": "--seed",
+    "vocab_size": "--vocab-size",
+    "phoneme_count": "--phonemes",
+    "zipf_exponent": "--zipf",
+    "train_utts": "--train-utts",
+    "dev_utts": "--dev-utts",
+    "test_utts": "--test-utts",
+    "len_range": ("--min-len", "--max-len"),
+    "frames_per_symbol": ("--frames-min", "--frames-max"),
+    "blank_prob": "--blank-prob",
+    "silence_prob": "--silence-prob",
+    "alpha": "--alpha",
+    "delta": "--delta",
+    "rare_quantile": "--rare-quantile",
+    "pron_len_range": ("--pron-min", "--pron-max"),
+    "second_pron_prob": "--second-pron-prob",
+    "confusion_share": ("--confusion-lo", "--confusion-hi"),
+    "ngram_order": "--ngram-order",
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _synth_config(args) -> synth.SynthConfig:
+    values = {}
+    for name, flags in _SYNTH_FLAGS.items():
+        if isinstance(flags, tuple):
+            values[name] = tuple(getattr(args, _dest(f)) for f in flags)
+        else:
+            values[name] = getattr(args, _dest(flags))
+    return synth.SynthConfig(**values)
+
+
 def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     top = _Parser(prog="twopass", description=__doc__)
-    sub = top.add_subparsers(dest="command", metavar="command")
+    sub = top.add_subparsers(dest="command", metavar="command", required=True)
     parsers: dict[str, _Parser] = {}
 
     p = parsers["synth"] = sub.add_parser(
         "synth", help="generate a synthetic corpus with posterior matrices")
     p.add_argument("--config", help="key = value defaults file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--vocab-size", type=int, default=40)
-    p.add_argument("--phonemes", type=int, default=12)
-    p.add_argument("--zipf", type=float, default=1.0)
-    p.add_argument("--train-utts", type=int, default=200)
-    p.add_argument("--dev-utts", type=int, default=50)
-    p.add_argument("--test-utts", type=int, default=100)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--frames-min", type=int, default=2)
-    p.add_argument("--frames-max", type=int, default=3)
-    p.add_argument("--blank-prob", type=float, default=0.3)
-    p.add_argument("--silence-prob", type=float, default=0.3)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--rare-quantile", type=float, default=0.2)
-    p.add_argument("--pron-min", type=int, default=2)
-    p.add_argument("--pron-max", type=int, default=4)
-    p.add_argument("--second-pron-prob", type=float, default=0.3)
-    p.add_argument("--confusion-lo", type=float, default=0.5)
-    p.add_argument("--confusion-hi", type=float, default=0.95)
-    p.add_argument("--ngram-order", type=int, default=2)
+    for field in dataclasses.fields(synth.SynthConfig):
+        flags = _SYNTH_FLAGS[field.name]
+        if field.default is dataclasses.MISSING:
+            p.add_argument(flags, type=int, required=True)
+        elif isinstance(flags, tuple):
+            for flag, default in zip(flags, field.default):
+                p.add_argument(flag, type=type(default), default=default)
+        else:
+            p.add_argument(flags, type=type(field.default), default=field.default)
 
     p = parsers["decode"] = sub.add_parser(
         "decode", help="first-pass CTC prefix beam search")
     p.add_argument("--config")
-    p.add_argument("--posteriors", help="single FPM1 file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--posteriors", help="single FPM1 file")
+    source.add_argument("--list", dest="list_file", help="utt_id TAB fpm-path manifest")
     p.add_argument("--utt-id", help="utterance id for --posteriors (default: file stem)")
-    p.add_argument("--list", dest="list_file", help="utt_id TAB fpm-path manifest")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--nbest", type=int, default=None,
+    p.add_argument("--beam", type=_positive_int, default=8)
+    p.add_argument("--nbest", type=_positive_int, default=None,
                    help="hypotheses to keep (default min(10, beam))")
     p.add_argument("--lm", help="external LM in ARPA format")
     p.add_argument("--ilm", help="internal LM estimate in ARPA format")
@@ -116,8 +143,9 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--config")
     p.add_argument("--nbest", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--phoneme-posteriors", help="single FPM1 file")
-    p.add_argument("--list", dest="list_file", help="utt_id TAB fpm-path manifest")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--phoneme-posteriors", help="single FPM1 file")
+    source.add_argument("--list", dest="list_file", help="utt_id TAB fpm-path manifest")
     p.add_argument("--phoneme-vocab", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--lambda-am", type=float, default=0.0)
@@ -148,8 +176,9 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
         "score", help="corpus WER of hypotheses against references")
     p.add_argument("--config")
     p.add_argument("--ref", required=True)
-    p.add_argument("--hyp", help="hypothesis transcript TSV")
-    p.add_argument("--nbest", help="N-best file; top-1 scored, oracle printed")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--hyp", help="hypothesis transcript TSV")
+    source.add_argument("--nbest", help="N-best file; top-1 scored, oracle printed")
     p.add_argument("--vocab", help="wordpiece vocabulary (with --nbest)")
     p.add_argument("--report", help="per-utterance TSV report path")
 
@@ -161,7 +190,7 @@ def _build_parsers() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--fused-nbest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--lm", required=True, help="bucketing LM in ARPA format")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.add_argument("--report", required=True)
     return top, parsers
 
@@ -179,25 +208,36 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(parser: _Parser, path: str) -> None:
-    values = _read_config_file(path)
-    coerced = {}
-    for key, raw in values.items():
-        action = parser.actions_by_dest.get(key)
-        if action is None:
+def _config_argv(argv: list[str], parsers: dict[str, _Parser]) -> list[str]:
+    """argv with its --config file's values put in as flags right after the
+    command, so that argparse checks them and later flags win."""
+    if not argv or argv[0] not in parsers:
+        return argv
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags = []
+    for key, raw in _read_config_file(path).items():
+        action = parsers[argv[0]].actions_by_dest.get(key)
+        if action is None or key in ("help", "config"):
             raise _UsageError("unknown config key: %s" % key)
         if action.nargs == 0:
             if raw.lower() not in ("true", "false", "0", "1"):
                 raise _UsageError("config key %s expects true/false" % key)
-            coerced[key] = raw.lower() in ("true", "1")
-        elif action.type is not None:
-            try:
-                coerced[key] = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise _UsageError("config key %s: %s" % (key, exc)) from None
+            if raw.lower() in ("true", "1"):
+                flags.append(action.option_strings[0])
         else:
-            coerced[key] = raw
-    parser.set_defaults(**coerced)
+            flags.append("%s=%s" % (action.option_strings[0], raw))
+    return [argv[0], *flags, *argv[1:]]
+
+
+def _by_id(table: dict, utt: str, what: str):
+    """table[utt]; an utterance missing from an input file is a data fault."""
+    if utt not in table:
+        raise FormatError("no %s for %s" % (what, utt))
+    return table[utt]
 
 
 def _log_effective(args: argparse.Namespace) -> None:
@@ -210,20 +250,7 @@ def _log_effective(args: argparse.Namespace) -> None:
 # --- synth ---------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    if args.seed is None:
-        raise _UsageError("synth: --seed is required (flag or config)")
-    config = synth.SynthConfig(
-        seed=args.seed, vocab_size=args.vocab_size, phoneme_count=args.phonemes,
-        zipf_exponent=args.zipf, train_utts=args.train_utts,
-        dev_utts=args.dev_utts, test_utts=args.test_utts,
-        len_range=(args.min_len, args.max_len),
-        frames_per_symbol=(args.frames_min, args.frames_max),
-        blank_prob=args.blank_prob, silence_prob=args.silence_prob,
-        alpha=args.alpha, delta=args.delta, rare_quantile=args.rare_quantile,
-        pron_len_range=(args.pron_min, args.pron_max),
-        second_pron_prob=args.second_pron_prob,
-        confusion_share=(args.confusion_lo, args.confusion_hi),
-        ngram_order=args.ngram_order)
+    config = _synth_config(args)
     corpus = synth.gen_corpus(config)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
@@ -290,18 +317,9 @@ def _run_pool(tasks, worker, state, jobs):
         return list(pool.imap(worker, tasks, chunksize=8))
 
 
-def _input_tasks(args) -> list[tuple[str, str]]:
-    if (args.posteriors is None) == (args.list_file is None):
-        raise _UsageError("give exactly one of --posteriors or --list")
-    if args.posteriors is not None:
-        utt = args.utt_id
-        if utt is None:
-            utt = os.path.splitext(os.path.basename(args.posteriors))[0]
-        return [(utt, args.posteriors)]
-    return core.load_manifest(args.list_file)
-
-
 def _cmd_decode(args) -> int:
+    if args.utt_id is not None and args.posteriors is None:
+        raise _UsageError("decode: --utt-id needs --posteriors")
     vocab = core.load_vocabulary(args.vocab)
     lm = load_arpa(args.lm) if args.lm else None
     ilm = load_arpa(args.ilm) if args.ilm else None
@@ -309,7 +327,13 @@ def _cmd_decode(args) -> int:
         beam_width=args.beam, n_best=args.nbest,
         weights=FusionWeights(0.0, args.lambda_lm, args.lambda_ilm),
         lm=lm, ilm=ilm)
-    tasks = _input_tasks(args)
+    if args.list_file is not None:
+        tasks = core.load_manifest(args.list_file)
+    else:
+        utt = args.utt_id
+        if utt is None:
+            utt = os.path.splitext(os.path.basename(args.posteriors))[0]
+        tasks = [(utt, args.posteriors)]
     results = _run_pool(
         tasks, _decode_task, {"vocab": vocab, "config": config}, args.jobs)
     core.write_nbest(results, vocab, args.out)
@@ -332,8 +356,6 @@ def _cmd_rescore(args) -> int:
     ph_vocab = core.load_vocabulary(args.phoneme_vocab)
     lexicon = core.load_lexicon(args.lexicon, ph_vocab)
     nbest_lists = core.load_nbest(args.nbest, vocab)
-    if (args.phoneme_posteriors is None) == (args.list_file is None):
-        raise _UsageError("give exactly one of --phoneme-posteriors or --list")
     if args.phoneme_posteriors is not None:
         if len(nbest_lists) != 1:
             raise _UsageError(
@@ -352,12 +374,8 @@ def _cmd_rescore(args) -> int:
         word_lm = load_arpa(args.word_lm)
         nbest_lists = [
             fusion.score_with_word_lm(nb, word_lm, vocab) for nb in nbest_lists]
-    tasks = []
-    for nb in nbest_lists:
-        if nb.utterance_id not in paths:
-            raise FormatError(
-                "no phoneme posteriors listed for %s" % nb.utterance_id)
-        tasks.append((nb, paths[nb.utterance_id]))
+    tasks = [(nb, _by_id(paths, nb.utterance_id, "phoneme posteriors listed"))
+             for nb in nbest_lists]
     results = _run_pool(tasks, _rescore_task, {
         "ph_vocab": ph_vocab, "lexicon": lexicon, "vocab": vocab,
         "weights": weights, "options": options}, args.jobs)
@@ -369,8 +387,11 @@ def _cmd_rescore(args) -> int:
 # --- tune ----------------------------------------------------------------
 
 def _load_references(path) -> list[tuple[str, tuple[str, ...]]]:
-    """Reference transcripts in file order; an empty one is a data fault."""
+    """Reference transcripts in file order; an empty one, or none, is a data
+    fault."""
     refs = core.load_transcripts(path)
+    if not refs:
+        raise FormatError("%s: no references" % path)
     for utt, words in refs:
         if not words:
             raise FormatError("%s: empty reference for %s" % (path, utt))
@@ -383,11 +404,7 @@ def _cmd_tune(args) -> int:
     if not nbest_lists:
         raise FormatError("%s: no N-best lists" % args.nbest)
     refs = dict(_load_references(args.ref))
-    dev = []
-    for nb in nbest_lists:
-        if nb.utterance_id not in refs:
-            raise FormatError("no reference for %s" % nb.utterance_id)
-        dev.append((nb, refs[nb.utterance_id]))
+    dev = [(nb, _by_id(refs, nb.utterance_id, "reference")) for nb in nbest_lists]
     if args.grid_am is None and args.grid_lm is None and args.grid_ilm is None:
         grid = fusion.default_weight_grid()
     else:
@@ -414,27 +431,21 @@ def _cmd_tune(args) -> int:
 # --- score ---------------------------------------------------------------
 
 def _cmd_score(args) -> int:
+    if args.nbest is not None and args.vocab is None:
+        raise _UsageError("--nbest requires --vocab")
     refs = _load_references(args.ref)
-    if (args.hyp is None) == (args.nbest is None):
-        raise _UsageError("give exactly one of --hyp or --nbest")
     rows = []
     oracle_total = None
     if args.hyp is not None:
         hyps = dict(core.load_transcripts(args.hyp))
-        for utt, ref in refs:
-            if utt not in hyps:
-                raise FormatError("no hypothesis for %s" % utt)
-            rows.append((utt, metrics.wer(ref, hyps[utt])))
+        rows = [(utt, metrics.wer(ref, _by_id(hyps, utt, "hypothesis")))
+                for utt, ref in refs]
     else:
-        if args.vocab is None:
-            raise _UsageError("--nbest requires --vocab")
         vocab = core.load_vocabulary(args.vocab)
         lists = {nb.utterance_id: nb for nb in core.load_nbest(args.nbest, vocab)}
         oracle_total = metrics.ErrorCounts()
         for utt, ref in refs:
-            if utt not in lists:
-                raise FormatError("no hypotheses for %s" % utt)
-            nb = lists[utt]
+            nb = _by_id(lists, utt, "hypotheses")
             top_words = core.detokenize(nb.top().tokens, vocab)
             rows.append((utt, metrics.wer(ref, top_words)))
             oracle_total = oracle_total + metrics.oracle_wer(nb, ref, vocab)
@@ -464,12 +475,10 @@ def _cmd_buckets(args) -> int:
     bucket_lm = load_arpa(args.lm)
     corpus = []
     for utt, ref in refs:
-        if utt not in base or utt not in fused:
-            raise FormatError("no hypotheses for %s" % utt)
-        corpus.append((
-            ref,
-            core.detokenize(base[utt].top().tokens, vocab),
-            core.detokenize(fused[utt].top().tokens, vocab)))
+        base_top = _by_id(base, utt, "hypotheses").top().tokens
+        fused_top = _by_id(fused, utt, "hypotheses").top().tokens
+        corpus.append((ref, core.detokenize(base_top, vocab),
+                       core.detokenize(fused_top, vocab)))
     stats = metrics.ppl_buckets(corpus, bucket_lm, args.k, vocab)
     core.write_lines(args.report, (
         "%d\t%.4f\t%.4f\t%.4f\t%.4f" % (
@@ -498,22 +507,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     top, parsers = _build_parsers()
     try:
-        if argv and argv[0] in parsers:
-            sub = parsers[argv[0]]
-            config_path = None
-            for i, arg in enumerate(argv):
-                if arg == "--config" and i + 1 < len(argv):
-                    config_path = argv[i + 1]
-                elif arg.startswith("--config="):
-                    config_path = arg.split("=", 1)[1]
-            if config_path is not None:
-                _apply_config(sub, config_path)
         try:
-            args = top.parse_args(argv)
+            args = top.parse_args(_config_argv(argv, parsers))
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        if args.command is None:
-            raise _UsageError("twopass: a subcommand is required")
         _log_effective(args)
         return _HANDLERS[args.command](args)
     except _UsageError as exc:

@@ -191,6 +191,142 @@ class TestConfigFile:
             "--vocab", str(workdir / "data" / "wordpieces.txt"),
             "--out", str(tmp_path / "x.nbest")]) == 1
 
+    def test_abbreviated_flag_applies_the_config(self, workdir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nbest = 1\n")
+        out = tmp_path / "conf.nbest"
+        assert cli.main([
+            "decode", "--conf", str(cfg),
+            "--list", str(workdir / "data" / "dev_e2e.list"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--out", str(out)]) == 0
+        for nbest in core.load_nbest(str(out), vocab_of(workdir)):
+            assert len(nbest) == 1
+
+    def test_config_gives_every_required_flag(self, workdir, tmp_path):
+        data = workdir / "data"
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("out-dir = %s\n" % (tmp_path / "data") + "".join(
+            "%s = %s\n" % (flag[2:], value)
+            for flag, value in zip(SYNTH_ARGS[::2], SYNTH_ARGS[1::2])))
+        assert cli.main(["synth", "--config", str(cfg)]) == 0
+        for name in ("train.tsv", "lexicon.tsv", "wordpiece_lm.arpa"):
+            assert (tmp_path / "data" / name).read_bytes() \
+                == (data / name).read_bytes(), name
+        cfg = tmp_path / "decode.cfg"
+        cfg.write_text("list-file = %s\nvocab = %s\nout = %s\n" % (
+            data / "dev_e2e.list", data / "wordpieces.txt", tmp_path / "c.nbest"))
+        assert cli.main(["decode", "--config", str(cfg)]) == 0
+        assert (tmp_path / "c.nbest").read_bytes() \
+            == (workdir / "dev.nbest").read_bytes()
+
+    def test_value_outside_choices_names_the_flag(self, workdir, tmp_path,
+                                                   capsys):
+        data = workdir / "data"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oov = bogus\n")
+        assert cli.main([
+            "rescore", "--config", str(cfg), "--nbest", str(workdir / "dev.nbest"),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--list", str(data / "dev_phoneme.list"),
+            "--phoneme-vocab", str(data / "phonemes.txt"),
+            "--lexicon", str(data / "lexicon.tsv"),
+            "--out", str(tmp_path / "x.nbest")]) == 1
+        assert "argument --oov: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_flag_and_config_forms_parse_alike(self, tmp_path):
+        # every option of every command, given as a flag or as a config key
+        top, parsers = cli._build_parsers()
+
+        def parse(argv):
+            return top.parse_args(cli._config_argv(argv, parsers))
+
+        checked = 0
+        for command, parser in parsers.items():
+            for dest, action in parser.actions_by_dest.items():
+                if dest in ("help", "config"):
+                    continue
+                flag, value = action.option_strings[0], _sample_value(action)
+                rest = _required_argv(parser, action)
+                cfg = tmp_path / ("%s.%s.cfg" % (command, dest))
+                if action.nargs == 0:
+                    by_flag = parse([command, *rest, flag])
+                    cfg.write_text("%s = true\n" % dest.replace("_", "-"))
+                else:
+                    by_flag = parse([command, *rest, flag, value])
+                    cfg.write_text("%s = %s\n" % (dest.replace("_", "-"), value))
+                by_config = parse([command, "--config", str(cfg), *rest])
+                assert getattr(by_flag, dest) != action.default, (command, dest)
+                assert vars(by_flag) == {**vars(by_config), "config": None}, \
+                    (command, dest)
+                checked += 1
+        assert checked == 70
+
+
+def _sample_value(action):
+    """A value the action accepts, other than its default."""
+    if action.choices:
+        return action.choices[-1]
+    return {int: "7", float: "0.25", cli._positive_int: "7",
+            cli._float_list: "0.5,1"}.get(action.type, "x.txt")
+
+
+def _required_argv(parser, skip):
+    """Flags meeting the parser's required flags and groups, except skip's."""
+    argv = []
+    for action in parser.actions_by_dest.values():
+        if action.required and action is not skip:
+            argv += [action.option_strings[0], _sample_value(action)]
+    for group in parser._mutually_exclusive_groups:
+        if skip not in group._group_actions:
+            first = group._group_actions[0]
+            argv += [first.option_strings[0], _sample_value(first)]
+    return argv
+
+
+# One usage fault each, with a file that would be read if usage were not
+# settled first; main must exit 1 before touching any of them.
+_USAGE_FAULTS = {
+    "decode no input": ["decode", "--vocab", "v.txt", "--lm", "lm.arpa",
+                        "--out", "o.nbest"],
+    "decode both inputs": ["decode", "--posteriors", "p.fpm", "--list", "e.list",
+                           "--vocab", "v.txt", "--lm", "lm.arpa", "--out", "o.nbest"],
+    "decode utt-id with list": ["decode", "--list", "e.list", "--utt-id", "u1",
+                                "--vocab", "v.txt", "--out", "o.nbest"],
+    "decode beam 0": ["decode", "--list", "e.list", "--vocab", "v.txt",
+                      "--beam", "0", "--out", "o.nbest"],
+    "decode nbest 0": ["decode", "--list", "e.list", "--vocab", "v.txt",
+                       "--nbest", "0", "--out", "o.nbest"],
+    "decode jobs 0": ["decode", "--list", "e.list", "--vocab", "v.txt",
+                      "--jobs", "0", "--out", "o.nbest"],
+    "rescore no input": ["rescore", "--nbest", "n.nbest", "--vocab", "v.txt",
+                         "--phoneme-vocab", "p.txt", "--lexicon", "l.tsv",
+                         "--out", "o.nbest"],
+    "rescore both inputs": ["rescore", "--nbest", "n.nbest", "--vocab", "v.txt",
+                            "--phoneme-posteriors", "p.fpm", "--list", "p.list",
+                            "--phoneme-vocab", "p.txt", "--lexicon", "l.tsv",
+                            "--out", "o.nbest"],
+    "score no source": ["score", "--ref", "r.tsv"],
+    "score both sources": ["score", "--ref", "r.tsv", "--hyp", "h.tsv",
+                           "--nbest", "n.nbest", "--vocab", "v.txt"],
+    "score nbest without vocab": ["score", "--ref", "r.tsv", "--nbest", "n.nbest"],
+    "buckets k 0": ["buckets", "--ref", "r.tsv", "--baseline-nbest", "b.nbest",
+                    "--fused-nbest", "f.nbest", "--vocab", "v.txt",
+                    "--lm", "lm.arpa", "--k", "0", "--report", "b.tsv"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_USAGE_FAULTS))
+def test_usage_fault_exits_1_before_any_input_is_read(monkeypatch, fault):
+    def no_read(*args, **kwargs):
+        raise AssertionError("read an input before usage was settled")
+
+    # the names through which the commands read text, matrices and LMs
+    monkeypatch.setattr(core, "read_lines", no_read)
+    monkeypatch.setattr(core, "load_posteriors", no_read)
+    monkeypatch.setattr(cli, "load_arpa", no_read)
+    assert cli.main(_USAGE_FAULTS[fault]) == 1
+
 
 class TestRescore:
 
@@ -622,7 +758,7 @@ _PIECES = ("", "\t", "\0", "\r", " ", ".", "-", "e", "0", "9", "nan", "inf",
 def _mutations(text, rng):
     """Seeded edits of a text file: each piece put in place of a random
     tab field or spliced into a random line, then a dropped, a repeated and
-    a swapped line, and a truncation."""
+    a swapped line, a truncation and an emptied file."""
     lines = text.split("\n")
     for piece in _PIECES:
         out = list(lines)
@@ -642,6 +778,25 @@ def _mutations(text, rng):
     swapped[i], swapped[j] = lines[j], lines[i]
     yield "\n".join(swapped)
     yield text[:rng.randrange(len(text))]
+    yield ""
+
+
+def _codes_on_mutated_inputs(command, inputs, rng, capsys):
+    """Exit codes of command run on each seeded mutation of each input file,
+    the other inputs kept intact; each must be 0 or 2."""
+    codes = []
+    for flag, original in inputs.items():
+        mutant = original.with_name("mutant" + original.suffix)
+        for text in _mutations(original.read_text(encoding="utf-8"), rng):
+            mutant.write_text(text, encoding="utf-8", newline="")
+            argv = list(command)
+            for name, path in inputs.items():
+                argv += [name, str(mutant if name == flag else path)]
+            code = cli.main(argv)
+            assert code in (0, 2), (
+                command[0], flag, repr(text), capsys.readouterr().err)
+            codes.append(code)
+    return codes
 
 
 def test_rescore_exits_0_or_2_on_mutated_inputs(demo_slice, tmp_path, capsys):
@@ -651,20 +806,41 @@ def test_rescore_exits_0_or_2_on_mutated_inputs(demo_slice, tmp_path, capsys):
               "--list": data / "dev_phoneme.list",
               "--phoneme-vocab": data / "phonemes.txt",
               "--lexicon": data / "lexicon.tsv"}
-    rng = random.Random(2)
-    codes = []
-    for flag, original in inputs.items():
-        mutant = original.with_name("mutant" + original.suffix)
-        for text in _mutations(original.read_text(encoding="utf-8"), rng):
-            mutant.write_text(text, encoding="utf-8", newline="")
-            argv = ["rescore", "--allow-silence", "--oov", "floor",
-                    "--out", str(tmp_path / "out.nbest")]
-            for name, path in inputs.items():
-                argv += [name, str(mutant if name == flag else path)]
-            code = cli.main(argv)
-            assert code in (0, 2), (flag, repr(text), capsys.readouterr().err)
-            codes.append(code)
+    codes = _codes_on_mutated_inputs(
+        ["rescore", "--allow-silence", "--oov", "floor",
+         "--out", str(tmp_path / "out.nbest")], inputs, random.Random(2), capsys)
     assert 0 in codes and 2 in codes
+
+
+def test_tune_score_buckets_exit_0_or_2_on_mutated_inputs(demo_slice, tmp_path,
+                                                          capsys):
+    data = demo_slice / "data"
+    vocab = str(data / "wordpieces.txt")
+    rescored, lm = tmp_path / "resc.nbest", tmp_path / "bucket.arpa"
+    assert cli.main([
+        "rescore", "--nbest", str(demo_slice / "dev.nbest"), "--vocab", vocab,
+        "--list", str(data / "dev_phoneme.list"),
+        "--phoneme-vocab", str(data / "phonemes.txt"),
+        "--lexicon", str(data / "lexicon.tsv"), "--allow-silence",
+        "--oov", "floor", "--out", str(rescored)]) == 0
+    pieces = [[core.WORD_BOUNDARY + w for w in words]
+              for _, words in core.load_transcripts(str(data / "dev.tsv"))]
+    write_arpa(train_add_one(pieces, 2), str(lm))
+    ref = {"--ref": data / "dev.tsv"}
+    out = str(tmp_path / "out.tsv")
+    rng = random.Random(3)
+    runs = [
+        (["tune", "--vocab", vocab, "--grid-am", "0,1", "--grid-lm", "0,1",
+          "--report", out], {"--nbest": rescored, **ref}),
+        (["score", "--vocab", vocab, "--report", out],
+         {"--nbest": rescored, **ref}),
+        (["buckets", "--vocab", vocab, "--k", "1", "--report", out],
+         {"--baseline-nbest": demo_slice / "dev.nbest", "--fused-nbest": rescored,
+          "--lm": lm, **ref}),
+    ]
+    for command, inputs in runs:
+        codes = _codes_on_mutated_inputs(command, inputs, rng, capsys)
+        assert 0 in codes and 2 in codes, command[0]
 
 
 class TestTopLevel:
