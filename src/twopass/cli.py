@@ -49,9 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated floats") from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one float")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -320,13 +323,16 @@ def _run_pool(tasks, worker, state, jobs):
 def _cmd_decode(args) -> int:
     if args.utt_id is not None and args.posteriors is None:
         raise _UsageError("decode: --utt-id needs --posteriors")
+    if args.lambda_lm > 0.0 and args.lm is None:
+        raise _UsageError("decode: --lambda-lm > 0 needs --lm")
+    if args.lambda_ilm > 0.0 and args.ilm is None:
+        raise _UsageError("decode: --lambda-ilm > 0 needs --ilm")
+    weights = FusionWeights(0.0, args.lambda_lm, args.lambda_ilm)
+    beam = BeamConfig(beam_width=args.beam, n_best=args.nbest)
     vocab = core.load_vocabulary(args.vocab)
     lm = load_arpa(args.lm) if args.lm else None
     ilm = load_arpa(args.ilm) if args.ilm else None
-    config = BeamConfig(
-        beam_width=args.beam, n_best=args.nbest,
-        weights=FusionWeights(0.0, args.lambda_lm, args.lambda_ilm),
-        lm=lm, ilm=ilm)
+    config = dataclasses.replace(beam, weights=weights, lm=lm, ilm=ilm)
     if args.list_file is not None:
         tasks = core.load_manifest(args.list_file)
     else:
@@ -352,24 +358,23 @@ def _rescore_task(task):
 
 
 def _cmd_rescore(args) -> int:
+    weights = FusionWeights(args.lambda_am, args.lambda_lm, args.lambda_ilm)
+    options = AlignOptions(oov_policy=args.oov, floor_log_prob=args.floor_logp)
     vocab = core.load_vocabulary(args.vocab)
     ph_vocab = core.load_vocabulary(args.phoneme_vocab)
     lexicon = core.load_lexicon(args.lexicon, ph_vocab)
     nbest_lists = core.load_nbest(args.nbest, vocab)
     if args.phoneme_posteriors is not None:
         if len(nbest_lists) != 1:
-            raise _UsageError(
-                "--phoneme-posteriors handles a single utterance; use --list")
+            raise FormatError(
+                "%s: %d N-best lists, but --phoneme-posteriors takes one "
+                "utterance; use --list" % (args.nbest, len(nbest_lists)))
         paths = {nbest_lists[0].utterance_id: args.phoneme_posteriors}
     else:
         paths = dict(core.load_manifest(args.list_file))
-    silence_id = None
     if args.allow_silence:
-        silence_id = ph_vocab.id_of(args.silence)
-    options = AlignOptions(
-        allow_silence=args.allow_silence, silence_phoneme=silence_id,
-        oov_policy=args.oov, floor_log_prob=args.floor_logp)
-    weights = FusionWeights(args.lambda_am, args.lambda_lm, args.lambda_ilm)
+        options = dataclasses.replace(
+            options, allow_silence=True, silence_phoneme=ph_vocab.id_of(args.silence))
     if args.word_lm:
         word_lm = load_arpa(args.word_lm)
         nbest_lists = [
@@ -399,12 +404,6 @@ def _load_references(path) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _cmd_tune(args) -> int:
-    vocab = core.load_vocabulary(args.vocab)
-    nbest_lists = core.load_nbest(args.nbest, vocab)
-    if not nbest_lists:
-        raise FormatError("%s: no N-best lists" % args.nbest)
-    refs = dict(_load_references(args.ref))
-    dev = [(nb, _by_id(refs, nb.utterance_id, "reference")) for nb in nbest_lists]
     if args.grid_am is None and args.grid_lm is None and args.grid_ilm is None:
         grid = fusion.default_weight_grid()
     else:
@@ -413,6 +412,12 @@ def _cmd_tune(args) -> int:
             for a in (args.grid_am or [0.0])
             for l in (args.grid_lm or [0.0])
             for i in (args.grid_ilm or [0.0])]
+    vocab = core.load_vocabulary(args.vocab)
+    nbest_lists = core.load_nbest(args.nbest, vocab)
+    if not nbest_lists:
+        raise FormatError("%s: no N-best lists" % args.nbest)
+    refs = dict(_load_references(args.ref))
+    dev = [(nb, _by_id(refs, nb.utterance_id, "reference")) for nb in nbest_lists]
     if any(w.lambda_am != 0.0 for w in grid) and any(
             h.scores.am is None for nb in nbest_lists for h in nb.hypotheses):
         raise FormatError(
@@ -468,6 +473,9 @@ def _cmd_score(args) -> int:
 def _cmd_buckets(args) -> int:
     vocab = core.load_vocabulary(args.vocab)
     refs = _load_references(args.ref)
+    if len(refs) < args.k:
+        raise FormatError("%s: %d references, fewer than --k %d buckets"
+                          % (args.ref, len(refs), args.k))
     base = {nb.utterance_id: nb
             for nb in core.load_nbest(args.baseline_nbest, vocab)}
     fused = {nb.utterance_id: nb

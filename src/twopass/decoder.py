@@ -4,7 +4,8 @@ internal-LM negation.
 Hypotheses are ranked by e2e + lambda_lm * lm - lambda_ilm * ilm. LM terms
 are charged once per emitted token (never on blank or repeat-collapse) with
 the history padded by a single sentence start; no end-of-sentence term is
-added in this pass. Ties break toward the lexicographically smaller token-id
+added in this pass. The last frame's survivors are ranked by
+fusion.rank_hypotheses, ties to the lexicographically smaller token-id
 sequence. With a beam at least as wide as the number of live prefixes the
 e2e score of every returned hypothesis is the exact CTC probability.
 
@@ -18,10 +19,10 @@ by (-fused, tokens). A prefix already in the beam gets at most two
 nonblank terms, its repeat-collapse and its parent's extension, which are
 folded with the scalar log_add (exactly symmetric in its two arguments);
 np.logaddexp is avoided because it rounds differently. LM and ILM scores
-come from NGramModel.conditional_row, one row of conditionals over the
-vocabulary per LM state (the last order-1 symbols of <s> + prefix),
-memoised on the model, so one decode command, or one --jobs worker, fills
-each state once across all utterances.
+come from NGramModel.conditional_row, which trims <s> + prefix to each
+model's state (its last order-1 symbols) and memoises one row of
+conditionals over the vocabulary per state, so one decode command, or one
+--jobs worker, fills each state once across all utterances.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .core import (
     VocabMismatchError,
     log_add,
 )
+from .fusion import rank_hypotheses
 from .ngram import SENTENCE_START, NGramModel
 
 
@@ -46,9 +48,10 @@ from .ngram import SENTENCE_START, NGramModel
 class BeamConfig:
     """Prefix beam search settings.
 
-    lambda_am in weights is ignored here; acoustic-model fusion happens in
-    the second pass. Attached LMs must cover every non-blank symbol of the
-    posterior vocabulary.
+    Survivors are ranked by fusion.rank_hypotheses with these weights.
+    lambda_am must be 0: acoustic-model fusion happens in the second pass.
+    Attached LMs must cover every non-blank symbol of the posterior
+    vocabulary.
     """
 
     beam_width: int = 8
@@ -64,6 +67,8 @@ class BeamConfig:
             object.__setattr__(self, "n_best", min(10, self.beam_width))
         if self.n_best < 1 or self.n_best > self.beam_width:
             raise ValueError("n_best must be in 1..beam_width")
+        if self.weights.lambda_am != 0.0:
+            raise ValueError("lambda_am must be 0 in the first pass")
         if self.weights.lambda_lm > 0.0 and self.lm is None:
             raise ValueError("lambda_lm > 0 requires an external LM")
         if self.weights.lambda_ilm > 0.0 and self.ilm is None:
@@ -75,13 +80,6 @@ def _check_lm_coverage(model: NGramModel, symbols, what: str) -> None:
     if missing:
         raise VocabMismatchError(
             "%s does not cover posterior symbols: %s" % (what, " ".join(missing)))
-
-
-def _lm_state(prefix, syms, k: int) -> tuple[str, ...]:
-    """The last k symbols of <s> + prefix: the state an order-(k+1) LM sees."""
-    if k == 0:
-        return ()
-    return ((SENTENCE_START,) + tuple(syms[i] for i in prefix[-k:]))[-k:]
 
 
 def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
@@ -113,19 +111,21 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
     width = config.beam_width
     tokens = syms[1:]
     n_ext = len(tokens)
-    k = max((m.order for m in (lm, ilm) if m is not None), default=1) - 1
+    k = max((m.order for m in (lm, ilm) if m is not None), default=1)
     flat = np.zeros(n_ext)
 
-    def rows(prefix):
-        state = _lm_state(prefix, syms, k)
-        return (flat if lm is None else lm.conditional_row(state, tokens),
-                flat if ilm is None else ilm.conditional_row(state, tokens))
+    def rows(prefix):  # k symbols hold any attached model's state
+        if lm is None and ilm is None:
+            return flat, flat
+        history = (SENTENCE_START,) + tuple(syms[i] for i in prefix[-k:])
+        return (flat if lm is None else lm.conditional_row(history, tokens),
+                flat if ilm is None else ilm.conditional_row(history, tokens))
 
     # Beam entry i: prefixes[i] with log p(blank-ending) p_b[i], log
     # p(nonblank-ending) p_nb[i], LM/ILM totals s_lm[i]/s_ilm[i] and the
-    # LM/ILM conditional rows of its state; fused[i] is its ranking score.
+    # LM/ILM conditional rows of its state.
     prefixes = [()]
-    p_b, p_nb, s_lm, s_ilm, fused = [0.0], [MINUS_INF], [0.0], [0.0], [0.0]
+    p_b, p_nb, s_lm, s_ilm = [0.0], [MINUS_INF], [0.0], [0.0]
     lm_row, ilm_row = rows(())
     lm_rows, ilm_rows = [lm_row], [ilm_row]
     values = posteriors.values.astype(np.float64)
@@ -198,13 +198,11 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
         p_nb = [self_nb[i] for i in kept_self] + contrib.ravel()[ext].tolist()
         s_lm = [s_lm[i] for i in kept_self] + ext_lm.ravel()[ext].tolist()
         s_ilm = [s_ilm[i] for i in kept_self] + ext_ilm.ravel()[ext].tolist()
-        fused = [self_fused[i] for i in kept_self] + ext_fused.ravel()[ext].tolist()
         lm_rows = [lm_rows[i] for i in kept_self] + [r[0] for r in ext_rows]
         ilm_rows = [ilm_rows[i] for i in kept_self] + [r[1] for r in ext_rows]
 
-    ranked = sorted(range(len(prefixes)), key=lambda i: (-fused[i], prefixes[i]))
-    hyps = []
-    for i in ranked[:config.n_best]:
-        hyps.append(Hypothesis(prefixes[i], ScoreBundle(
-            e2e=log_add(p_b[i], p_nb[i]), lm=s_lm[i], ilm=s_ilm[i])))
-    return NBestList(utterance_id, tuple(hyps))
+    survivors = [
+        Hypothesis(prefix, ScoreBundle(e2e=log_add(b, nb), lm=x, ilm=y))
+        for prefix, b, nb, x, y in zip(prefixes, p_b, p_nb, s_lm, s_ilm)]
+    ranked = rank_hypotheses(survivors, config.weights)
+    return NBestList(utterance_id, tuple(ranked[:config.n_best]))

@@ -5,11 +5,22 @@ acceptance checks 02-03 compare the beam search against; tune_weights is
 the one-call form of grid search plus weight selection;
 reference_viterbi_align is the forced-alignment recursion that indexes a
 float64 numpy row per cell, which aligner.viterbi_align must reproduce bit
-for bit.
+for bit; reference_prefix_beam_search is the scalar per-(prefix, symbol)
+beam search whose tokens and score bits decoder.prefix_beam_search must
+reproduce.
 """
 from twopass.aligner import PronGraph
-from twopass.core import MINUS_INF, AlignmentError, PosteriorMatrix, log_add
+from twopass.core import (
+    MINUS_INF,
+    AlignmentError,
+    Hypothesis,
+    NBestList,
+    PosteriorMatrix,
+    ScoreBundle,
+    log_add,
+)
 from twopass.fusion import grid_search, select_weights
+from twopass.ngram import SENTENCE_START
 
 
 def ctc_label_prob(posteriors: PosteriorMatrix, labels) -> float:
@@ -121,3 +132,60 @@ def reference_viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     states.reverse()
     alignment = tuple(graph.phoneme_ids[s] for s in states)
     return float(best_score), alignment
+
+
+def reference_prefix_beam_search(posteriors, config, utterance_id="utt"):
+    """Frozen per-(prefix, symbol) loop the array decoder must reproduce."""
+    syms = posteriors.vocab.symbols
+    lm, ilm = config.lm, config.ilm
+    w_lm = config.weights.lambda_lm
+    w_ilm = config.weights.lambda_ilm
+    n_symbols = len(syms)
+
+    def fused(entry):
+        return log_add(entry[0], entry[1]) + w_lm * entry[2] - w_ilm * entry[3]
+
+    beams = {(): [0.0, MINUS_INF, 0.0, 0.0]}
+    for t in range(posteriors.frames):
+        row = posteriors.values[t].astype(float).tolist()
+        nxt = {}
+        for prefix, (p_b, p_nb, s_lm, s_ilm) in beams.items():
+            total = log_add(p_b, p_nb)
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = nxt[prefix] = [MINUS_INF, MINUS_INF, s_lm, s_ilm]
+            entry[0] = log_add(entry[0], total + row[0])
+            last = prefix[-1] if prefix else -1
+            for c in range(1, n_symbols):
+                if c == last:
+                    entry[1] = log_add(entry[1], p_nb + row[c])
+                    contrib = p_b + row[c]
+                else:
+                    contrib = total + row[c]
+                if contrib == MINUS_INF:
+                    continue
+                ext = prefix + (c,)
+                child = nxt.get(ext)
+                if child is None:
+                    c_lm = s_lm
+                    c_ilm = s_ilm
+                    if lm is not None or ilm is not None:
+                        ctx = (SENTENCE_START,) + tuple(syms[i] for i in prefix)
+                        if lm is not None:
+                            c_lm = s_lm + lm.conditional(ctx, syms[c])
+                        if ilm is not None:
+                            c_ilm = s_ilm + ilm.conditional(ctx, syms[c])
+                    child = nxt[ext] = [MINUS_INF, MINUS_INF, c_lm, c_ilm]
+                child[1] = log_add(child[1], contrib)
+        if len(nxt) > config.beam_width:
+            kept = sorted(nxt.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
+            beams = dict(kept[:config.beam_width])
+        else:
+            beams = nxt
+
+    ranked = sorted(beams.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
+    hyps = []
+    for prefix, (p_b, p_nb, s_lm, s_ilm) in ranked[:config.n_best]:
+        hyps.append(Hypothesis(
+            prefix, ScoreBundle(e2e=log_add(p_b, p_nb), lm=s_lm, ilm=s_ilm)))
+    return NBestList(utterance_id, tuple(hyps))

@@ -5,6 +5,7 @@ runs the installed module via a real subprocess to cover the entry point.
 Exit code contract: 0 ok, 1 usage problems, 2 broken or missing data.
 """
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,36 @@ _USAGE_FAULTS = {
     "score both sources": ["score", "--ref", "r.tsv", "--hyp", "h.tsv",
                            "--nbest", "n.nbest", "--vocab", "v.txt"],
     "score nbest without vocab": ["score", "--ref", "r.tsv", "--nbest", "n.nbest"],
+    "decode nbest above beam": ["decode", "--list", "e.list", "--vocab", "v.txt",
+                                "--beam", "2", "--nbest", "5", "--lm", "x.arpa",
+                                "--out", "o.nbest"],
+    "decode lambda-lm without lm": ["decode", "--list", "e.list",
+                                    "--vocab", "v.txt", "--lambda-lm", "0.5",
+                                    "--ilm", "x.arpa", "--out", "o.nbest"],
+    "decode lambda-ilm without ilm": ["decode", "--list", "e.list",
+                                      "--vocab", "v.txt", "--lambda-ilm", "0.5",
+                                      "--lm", "x.arpa", "--out", "o.nbest"],
+    "decode negative lambda-lm": ["decode", "--list", "e.list", "--vocab", "v.txt",
+                                  "--lambda-lm=-1", "--lm", "x.arpa",
+                                  "--out", "o.nbest"],
+    "rescore negative lambda-am": ["rescore", "--nbest", "n.nbest", "--vocab", "v.txt",
+                                   "--list", "p.list", "--phoneme-vocab", "p.txt",
+                                   "--lexicon", "l.tsv", "--lambda-am=-1",
+                                   "--out", "o.nbest"],
+    "rescore nan lambda-am": ["rescore", "--nbest", "n.nbest", "--vocab", "v.txt",
+                              "--list", "p.list", "--phoneme-vocab", "p.txt",
+                              "--lexicon", "l.tsv", "--lambda-am", "nan",
+                              "--out", "o.nbest"],
+    "rescore positive floor": ["rescore", "--nbest", "n.nbest", "--vocab", "v.txt",
+                               "--list", "p.list", "--phoneme-vocab", "p.txt",
+                               "--lexicon", "l.tsv", "--floor-logp", "5",
+                               "--out", "o.nbest"],
+    "tune negative grid-am": ["tune", "--nbest", "n.nbest", "--ref", "r.tsv",
+                              "--vocab", "v.txt", "--grid-am=-1,0"],
+    "tune nan grid-lm": ["tune", "--nbest", "n.nbest", "--ref", "r.tsv",
+                         "--vocab", "v.txt", "--grid-lm=nan"],
+    "tune empty grid-am": ["tune", "--nbest", "n.nbest", "--ref", "r.tsv",
+                           "--vocab", "v.txt", "--grid-am="],
     "buckets k 0": ["buckets", "--ref", "r.tsv", "--baseline-nbest", "b.nbest",
                     "--fused-nbest", "f.nbest", "--vocab", "v.txt",
                     "--lm", "lm.arpa", "--k", "0", "--report", "b.tsv"],
@@ -397,6 +428,20 @@ class TestRescore:
         out = tmp_path / "x.nbest"
         assert self._rescore(workdir, out, "--floor-logp", floor) == 1
         assert "floor_log_prob must be <= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phoneme_posteriors_with_several_lists_is_data_error(
+            self, workdir, tmp_path, capsys):
+        data = workdir / "data"
+        (_, phonemes), *_ = core.load_manifest(str(data / "dev_phoneme.list"))
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "rescore", "--nbest", str(workdir / "dev.nbest"),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--phoneme-posteriors", phonemes,
+            "--phoneme-vocab", str(data / "phonemes.txt"),
+            "--lexicon", str(data / "lexicon.tsv"), "--out", str(out)]) == 2
+        assert "dev.nbest: 6 N-best lists" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rescore_is_deterministic(self, workdir, tmp_path):
@@ -541,7 +586,7 @@ class TestTuneScoreBuckets:
             "--fused-nbest", str(rescored),
             "--vocab", str(data / "wordpieces.txt"),
             "--lm", str(data / "wordpiece_lm.arpa"),
-            "--k", "20", "--report", str(tmp_path / "x.tsv")]) == 1
+            "--k", "20", "--report", str(tmp_path / "x.tsv")]) == 2
 
 
 class TestHandMadeLists:
@@ -810,6 +855,46 @@ def test_rescore_exits_0_or_2_on_mutated_inputs(demo_slice, tmp_path, capsys):
         ["rescore", "--allow-silence", "--oov", "floor",
          "--out", str(tmp_path / "out.nbest")], inputs, random.Random(2), capsys)
     assert 0 in codes and 2 in codes
+
+
+def _fpm_faults(blob):
+    """A valid FPM1 file's bytes broken one way each: truncated, bad magic,
+    T or V off by one, T = 0, a trailing byte, a NaN, an inf and an
+    unnormalized row."""
+    t, v = struct.unpack("<II", blob[4:12])
+    yield blob[:len(blob) // 2]
+    yield b"FPM2" + blob[4:]
+    for dt, dv in ((1, 0), (-1, 0), (0, 1), (0, -1), (-t, 0)):
+        yield blob[:4] + struct.pack("<II", t + dt, v + dv) + blob[12:]
+    yield blob + b"\0"
+    for value in (float("nan"), float("inf"), 0.0):
+        yield blob[:12] + struct.pack("<f", value) * v + blob[12 + 4 * v:]
+
+
+def test_decode_exits_0_or_2_on_mutated_inputs(demo_slice, tmp_path, capsys):
+    data = demo_slice / "data"
+    pieces = [s for s in core.load_vocabulary(str(data / "wordpieces.txt")).symbols
+              if s != core.BLANK]
+    sents = [[core.WORD_BOUNDARY + w for w in words]
+             for _, words in core.load_transcripts(str(data / "dev.tsv"))]
+    lm, ilm = tmp_path / "lm.arpa", tmp_path / "ilm.arpa"
+    write_arpa(train_add_one(sents, 2, vocabulary=pieces), str(lm))
+    write_arpa(train_add_one(sents, 1, vocabulary=pieces), str(ilm))
+    inputs = {"--list": data / "dev_e2e.list", "--vocab": data / "wordpieces.txt",
+              "--lm": lm, "--ilm": ilm}
+    command = ["decode", "--beam", "4", "--lambda-lm", "0.5", "--lambda-ilm", "0.2",
+               "--out", str(tmp_path / "out.nbest")]
+    codes = _codes_on_mutated_inputs(command, inputs, random.Random(4), capsys)
+    assert 0 in codes and 2 in codes
+
+    (_, fpm), *_ = core.load_manifest(str(data / "dev_e2e.list"))
+    mutant = tmp_path / "mutant.fpm"
+    for blob in _fpm_faults(Path(fpm).read_bytes()):
+        mutant.write_bytes(blob)
+        argv = command + ["--posteriors", str(mutant)]
+        for name in ("--vocab", "--lm", "--ilm"):
+            argv += [name, str(inputs[name])]
+        assert cli.main(argv) == 2, (blob[:12], capsys.readouterr().err)
 
 
 def test_tune_score_buckets_exit_0_or_2_on_mutated_inputs(demo_slice, tmp_path,

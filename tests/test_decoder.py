@@ -7,9 +7,10 @@ exact scorer and the beam search (run with a beam wide enough to disable
 pruning) must reproduce those numbers, and the per-sequence masses must sum
 to one because collapsing partitions the path space.
 
-The second oracle is a frozen copy of the scalar per-(prefix, symbol) loop
-the array decoder replaced: with pruning, exact ties and LM/ILM fusion the
-decoder must reproduce its tokens and the bits of every score.
+The second oracle, oracles.reference_prefix_beam_search, is a frozen copy
+of the scalar per-(prefix, symbol) loop the array decoder replaced: with
+pruning, exact ties and LM/ILM fusion the decoder must reproduce its
+tokens and the bits of every score.
 """
 import itertools
 import math
@@ -18,22 +19,17 @@ import numpy as np
 import pytest
 
 from twopass.core import (
-    MINUS_INF,
     AlignmentError,
     BLANK,
     FusionWeights,
-    Hypothesis,
-    NBestList,
     PosteriorMatrix,
-    ScoreBundle,
     VocabMismatchError,
     Vocabulary,
-    log_add,
 )
 from twopass.decoder import BeamConfig, prefix_beam_search
-from twopass.ngram import SENTENCE_START, train_add_one
+from twopass.ngram import train_add_one
 
-from oracles import ctc_label_prob
+from oracles import ctc_label_prob, reference_prefix_beam_search
 
 WIDE = 4096  # beam wide enough that nothing is ever pruned in these tests
 
@@ -248,6 +244,10 @@ class TestBeamConfig:
         with pytest.raises(ValueError):
             BeamConfig(beam_width=2, n_best=3)
 
+    def test_am_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="lambda_am"):
+            BeamConfig(weights=FusionWeights(0.3, 0.0, 0.0))
+
     def test_lm_weight_requires_model(self):
         with pytest.raises(ValueError):
             BeamConfig(weights=FusionWeights(0.0, 0.5, 0.0))
@@ -333,63 +333,6 @@ class TestShallowFusion:
         m = matrix_from_rows([[0.2, 0.4, 0.4]], vocab)
         with pytest.raises(VocabMismatchError):
             prefix_beam_search(m, BeamConfig(lm=small))
-
-
-def reference_prefix_beam_search(posteriors, config, utterance_id="utt"):
-    """Frozen per-(prefix, symbol) loop the array decoder must reproduce."""
-    syms = posteriors.vocab.symbols
-    lm, ilm = config.lm, config.ilm
-    w_lm = config.weights.lambda_lm
-    w_ilm = config.weights.lambda_ilm
-    n_symbols = len(syms)
-
-    def fused(entry):
-        return log_add(entry[0], entry[1]) + w_lm * entry[2] - w_ilm * entry[3]
-
-    beams = {(): [0.0, MINUS_INF, 0.0, 0.0]}
-    for t in range(posteriors.frames):
-        row = posteriors.values[t].astype(float).tolist()
-        nxt = {}
-        for prefix, (p_b, p_nb, s_lm, s_ilm) in beams.items():
-            total = log_add(p_b, p_nb)
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = nxt[prefix] = [MINUS_INF, MINUS_INF, s_lm, s_ilm]
-            entry[0] = log_add(entry[0], total + row[0])
-            last = prefix[-1] if prefix else -1
-            for c in range(1, n_symbols):
-                if c == last:
-                    entry[1] = log_add(entry[1], p_nb + row[c])
-                    contrib = p_b + row[c]
-                else:
-                    contrib = total + row[c]
-                if contrib == MINUS_INF:
-                    continue
-                ext = prefix + (c,)
-                child = nxt.get(ext)
-                if child is None:
-                    c_lm = s_lm
-                    c_ilm = s_ilm
-                    if lm is not None or ilm is not None:
-                        ctx = (SENTENCE_START,) + tuple(syms[i] for i in prefix)
-                        if lm is not None:
-                            c_lm = s_lm + lm.conditional(ctx, syms[c])
-                        if ilm is not None:
-                            c_ilm = s_ilm + ilm.conditional(ctx, syms[c])
-                    child = nxt[ext] = [MINUS_INF, MINUS_INF, c_lm, c_ilm]
-                child[1] = log_add(child[1], contrib)
-        if len(nxt) > config.beam_width:
-            kept = sorted(nxt.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
-            beams = dict(kept[:config.beam_width])
-        else:
-            beams = nxt
-
-    ranked = sorted(beams.items(), key=lambda kv: (-fused(kv[1]), kv[0]))
-    hyps = []
-    for prefix, (p_b, p_nb, s_lm, s_ilm) in ranked[:config.n_best]:
-        hyps.append(Hypothesis(
-            prefix, ScoreBundle(e2e=log_add(p_b, p_nb), lm=s_lm, ilm=s_ilm)))
-    return NBestList(utterance_id, tuple(hyps))
 
 
 def random_lm(rng, vocab, order):
