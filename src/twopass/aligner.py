@@ -7,11 +7,26 @@ A state occupies one or more consecutive frames (self-loop); pronunciation
 log-priors are charged once, on entering the first phoneme; silence carries
 prior log 1. The alignment score is the sum of frame log-posteriors plus the
 charged priors, maximized over pronunciation choices and segmentations.
+
+am_scores scores an N-best list in one score-only Viterbi pass over a
+word-prefix trie of the list's word sequences, the tree lexicon of Ney &
+Ortmanns (IEEE SPM 1999): hypotheses that share a word prefix share its
+states, because a state's value depends only on the states before it. The
+pass gives each hypothesis the score viterbi_align gives its own graph, bit
+for bit. Every state value comes from the same float64 additions as the
+scalar recursion (predecessor + charge, then + emission), and max does not
+depend on the order of its operands: posteriors are finite, so no NaN
+enters, and no state value is ever -0.0 (each is a sum that starts from a
+finite entry charge, and x + y is -0.0 only when both are), so equal values
+have equal bits. viterbi_align, which also backtraces the alignment, is the
+single-sequence recursion that tests and the benchmark replay.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     MINUS_INF,
@@ -84,6 +99,103 @@ class PronGraph:
         return min(feasible)
 
 
+class _WordTrie:
+    """Emitting states of a word-prefix trie, in expand_pronunciations' order.
+
+    Node 0 is the empty prefix and owns the optional leading silence state.
+    Every other node owns the states of one word after its parent's prefix:
+    each pronunciation's phonemes in lexicon order, the first charged the
+    pronunciation's log-prior (on entry at the root, else from every state
+    of the parent's frontier), then the optional silence state after the
+    word. frontiers[node] are the states a next word may follow, which are
+    also the finals of a word sequence that ends at the node; shortest[node]
+    is the number of states on its shortest path from the start.
+    """
+
+    def __init__(self, silence_phoneme: int | None) -> None:
+        self.silence = silence_phoneme
+        self.phoneme_ids: list[int] = []
+        self.preds: list[list[tuple[int, float]]] = []
+        self.entries: list[tuple[int, float]] = []
+        self.frontiers: list[tuple[int, ...]] = [()]
+        self.shortest: list[int] = [0]
+        self._children: dict[tuple[int, str], int] = {}
+        if silence_phoneme is not None:
+            sil = self._new_state(silence_phoneme, [])
+            self.entries.append((sil, 0.0))
+            self.frontiers[0] = (sil,)
+
+    def _new_state(self, phoneme: int, preds: list[tuple[int, float]]) -> int:
+        self.phoneme_ids.append(phoneme)
+        self.preds.append(preds)
+        return len(self.phoneme_ids) - 1
+
+    def add(self, words, prons_per_word) -> int:
+        """The node of a word sequence whose pronunciations are given,
+        adding the nodes its prefixes lack."""
+        node = 0
+        for word, prons in zip(words, prons_per_word):
+            child = self._children.get((node, word))
+            if child is None:
+                frontier = self.frontiers[node]
+                ends = []
+                for phones, prior in prons:
+                    log_prior = math.log(prior)
+                    first = len(self.phoneme_ids)
+                    if node == 0:
+                        self.entries.append((first, log_prior))
+                    self.phoneme_ids.extend(phones)
+                    self.preds.append([(f, log_prior) for f in frontier])
+                    self.preds.extend([(s, 0.0)] for s in range(
+                        first, first + len(phones) - 1))
+                    ends.append(len(self.phoneme_ids) - 1)
+                if self.silence is not None:
+                    ends.append(self._new_state(
+                        self.silence, [(e, 0.0) for e in ends]))
+                child = self._children[node, word] = len(self.frontiers)
+                self.frontiers.append(tuple(ends))
+                self.shortest.append(self.shortest[node] + min(
+                    len(phones) for phones, _ in prons))
+            node = child
+        return node
+
+    def final_delta(self, rows) -> np.ndarray:
+        """Viterbi value of every state after the last frame of rows.
+
+        The predecessors are packed into K slots (K the largest fan-in),
+        padded with a sentinel state that stays -inf, and each frame runs K
+        elementwise maxima over the states; no backtrace is kept.
+        """
+        n_states = len(self.phoneme_ids)
+        ids = np.array(self.phoneme_ids + [0])  # state n_states: the sentinel
+        outside = (ids < 0) | (ids >= rows.shape[1])
+        if outside.any():
+            raise ValueError(
+                "phoneme id %d outside posterior matrix" % ids[outside.argmax()])
+        fan_in = max(map(len, self.preds))
+        pred_ids = [[n_states] * (n_states + 1) for _ in range(fan_in)]
+        charges = [[0.0] * (n_states + 1) for _ in range(fan_in)]
+        for s, preds in enumerate(self.preds):
+            for j, (p, charge) in enumerate(preds):
+                pred_ids[j][s] = p
+                charges[j][s] = charge
+        slots = list(zip(np.array(pred_ids), np.array(charges)))
+        emissions = rows[:, ids]
+        delta = np.full(n_states + 1, MINUS_INF)
+        for s, charge in self.entries:
+            delta[s] = charge + emissions[0, s]
+        best = np.empty_like(delta)
+        cand = np.empty_like(delta)
+        for e in emissions[1:]:
+            np.copyto(best, delta)  # self-loop
+            for p, c in slots:
+                delta.take(p, out=cand)
+                np.add(cand, c, out=cand)
+                np.maximum(best, cand, out=best)
+            np.add(best, e, out=delta)
+        return delta
+
+
 def expand_pronunciations(words, lexicon: Lexicon, allow_silence: bool = False,
                           silence_phoneme: int | None = None) -> PronGraph:
     """Build the pronunciation graph for a word sequence.
@@ -98,51 +210,24 @@ def expand_pronunciations(words, lexicon: Lexicon, allow_silence: bool = False,
     if allow_silence and silence_phoneme is None:
         raise ValueError("allow_silence requires silence_phoneme")
     prons_per_word = [lexicon.pronunciations(w) for w in words]
-
-    phoneme_ids: list[int] = []
-    preds: list[list[tuple[int, float]]] = []
-    entries: list[tuple[int, float]] = []
-
-    def new_state(phoneme: int) -> int:
-        phoneme_ids.append(phoneme)
-        preds.append([])
-        return len(phoneme_ids) - 1
-
-    # frontier: states any next word may follow (ends of previous layer).
-    frontier: list[int] = []
-    if allow_silence:
-        sil = new_state(silence_phoneme)
-        entries.append((sil, 0.0))
-        frontier.append(sil)
-    at_start = True
-    for i, prons in enumerate(prons_per_word):
-        word_ends: list[int] = []
-        for phones, prior in prons:
-            log_prior = math.log(prior)
-            first = new_state(phones[0])
-            if at_start:
-                entries.append((first, log_prior))
-            for f in frontier:
-                preds[first].append((f, log_prior))
-            state = first
-            for ph in phones[1:]:
-                nxt = new_state(ph)
-                preds[nxt].append((state, 0.0))
-                state = nxt
-            word_ends.append(state)
-        at_start = False
-        frontier = list(word_ends)
-        if allow_silence:
-            sil = new_state(silence_phoneme)
-            for e in word_ends:
-                preds[sil].append((e, 0.0))
-            frontier.append(sil)
-    finals = frozenset(frontier)
+    trie = _WordTrie(silence_phoneme if allow_silence else None)
+    node = trie.add(words, prons_per_word)
     return PronGraph(
-        tuple(phoneme_ids),
-        tuple(tuple(p) for p in preds),
-        tuple(entries),
-        finals)
+        tuple(trie.phoneme_ids),
+        tuple(tuple(p) for p in trie.preds),
+        tuple(trie.entries),
+        frozenset(trie.frontiers[node]))
+
+
+def _emission_rows(posteriors: PosteriorMatrix, log_prior_shift) -> np.ndarray:
+    """The float64 frame rows, with the per-phoneme log-priors subtracted."""
+    rows = posteriors.values.astype(float)
+    if log_prior_shift is not None:
+        shift = list(log_prior_shift)
+        if len(shift) != posteriors.symbols:
+            raise ValueError("log_prior_shift length mismatch")
+        rows = rows - [shift]
+    return rows
 
 
 def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
@@ -162,12 +247,7 @@ def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     if posteriors.frames < graph.min_path_states():
         raise AlignmentError("utterance too short to align")
 
-    rows = posteriors.values.astype(float)
-    if log_prior_shift is not None:
-        shift = list(log_prior_shift)
-        if len(shift) != posteriors.symbols:
-            raise ValueError("log_prior_shift length mismatch")
-        rows = rows - [shift]
+    rows = _emission_rows(posteriors, log_prior_shift)
     # emissions[t][s]: the frame-t log-score of state s, as Python floats.
     emissions = rows[:, list(graph.phoneme_ids)].tolist()
     delta = [MINUS_INF] * n_states
@@ -210,25 +290,45 @@ def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     return float(best_score), alignment
 
 
+def am_scores(hypotheses, posteriors: PosteriorMatrix, lexicon: Lexicon,
+              vocab: Vocabulary,
+              options: AlignOptions = AlignOptions()) -> list[float]:
+    """Acoustic log-scores of a list of hypotheses, in list order.
+
+    Each hypothesis is detokenized and checked in list order; one that is
+    dangling, empty, holds an OOV word or has fewer frames than its shortest
+    pronunciation path follows the OOV policy: strict raises, floor scores
+    it frames * floor_log_prob. The others share one word-prefix trie and
+    one Viterbi pass, and each scores the best of its finals after the last
+    frame: the score viterbi_align gives its own graph, bit for bit.
+    """
+    trie = _WordTrie(options.silence_phoneme if options.allow_silence else None)
+    floor = posteriors.frames * options.floor_log_prob
+    finals: list[tuple[int, ...] | None] = []  # None: floored
+    for hyp in hypotheses:
+        try:
+            words = detokenize(hyp.tokens, vocab)
+            if not words:
+                raise AlignmentError("empty hypothesis")
+            node = trie.add(words, [lexicon.pronunciations(w) for w in words])
+            if posteriors.frames < trie.shortest[node]:
+                raise AlignmentError("utterance too short to align")
+        except (OOVError, AlignmentError):
+            if options.oov_policy == "floor":
+                finals.append(None)
+                continue
+            raise
+        finals.append(trie.frontiers[node])
+    if all(ends is None for ends in finals):
+        return [floor] * len(finals)
+    delta = trie.final_delta(_emission_rows(posteriors, options.phoneme_log_priors))
+    return [floor if ends is None else max(delta[list(ends)].tolist())
+            for ends in finals]
+
+
 def am_score(hypothesis: Hypothesis, posteriors: PosteriorMatrix,
              lexicon: Lexicon, vocab: Vocabulary,
              options: AlignOptions = AlignOptions()) -> float:
-    """Acoustic log-score of one hypothesis via forced alignment.
-
-    Detokenizes the hypothesis, expands its pronunciation graph and aligns
-    it against the phoneme posteriors. Unalignable hypotheses follow the
-    OOV policy: strict raises, floor returns frames * floor_log_prob.
-    """
-    try:
-        words = detokenize(hypothesis.tokens, vocab)
-        if not words:
-            raise AlignmentError("empty hypothesis")
-        graph = expand_pronunciations(
-            words, lexicon, allow_silence=options.allow_silence,
-            silence_phoneme=options.silence_phoneme)
-        return viterbi_align(
-            posteriors, graph, log_prior_shift=options.phoneme_log_priors)[0]
-    except (OOVError, AlignmentError):
-        if options.oov_policy == "floor":
-            return posteriors.frames * options.floor_log_prob
-        raise
+    """Acoustic log-score of one hypothesis via forced alignment (am_scores
+    of a one-hypothesis list)."""
+    return am_scores([hypothesis], posteriors, lexicon, vocab, options)[0]

@@ -377,8 +377,11 @@ def _cmd_rescore(args) -> int:
             options, allow_silence=True, silence_phoneme=ph_vocab.id_of(args.silence))
     if args.word_lm:
         word_lm = load_arpa(args.word_lm)
-        nbest_lists = [
-            fusion.score_with_word_lm(nb, word_lm, vocab) for nb in nbest_lists]
+        try:
+            nbest_lists = [
+                fusion.score_with_word_lm(nb, word_lm, vocab) for nb in nbest_lists]
+        except OverflowError as exc:
+            raise FormatError("%s: %s" % (args.word_lm, exc)) from None
     tasks = [(nb, _by_id(paths, nb.utterance_id, "phoneme posteriors listed"))
              for nb in nbest_lists]
     results = _run_pool(tasks, _rescore_task, {

@@ -8,6 +8,7 @@ whenever am = e2e - ilm; equivalent_lm_weights computes that mapping.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .core import (
@@ -21,7 +22,7 @@ from .core import (
     detokenize,
     with_am,
 )
-from .aligner import AlignOptions, am_score
+from .aligner import AlignOptions, am_scores
 from .metrics import ErrorCounts, wer
 from .ngram import NGramModel
 
@@ -68,9 +69,8 @@ def rescore_nbest(nbest: NBestList, posteriors: PosteriorMatrix,
                   weights: FusionWeights,
                   options: AlignOptions = AlignOptions()) -> NBestList:
     """Fill am scores via forced alignment and re-rank by the fused score."""
-    scored = [
-        with_am(h, am_score(h, posteriors, lexicon, vocab, options))
-        for h in nbest.hypotheses]
+    ams = am_scores(nbest.hypotheses, posteriors, lexicon, vocab, options)
+    scored = [with_am(h, am) for h, am in zip(nbest.hypotheses, ams)]
     return NBestList(nbest.utterance_id, tuple(rank_hypotheses(scored, weights)))
 
 
@@ -79,12 +79,16 @@ def score_with_word_lm(nbest: NBestList, lm: NGramModel,
     """Replace each lm component with a word-level LM score.
 
     The hypothesis is detokenized and scored as a complete sentence (the
-    end-of-sentence term included, unlike the first pass).
+    end-of-sentence term included, unlike the first pass). A sum that
+    overflows float64 raises OverflowError.
     """
     out = []
     for hyp in nbest.hypotheses:
         words = detokenize(hyp.tokens, vocab)
         lm_score = lm.score_sequence(words, include_eos=True)
+        if not math.isfinite(lm_score):
+            raise OverflowError("word LM score of %s overflows to %r"
+                                % (nbest.utterance_id, lm_score))
         out.append(Hypothesis(hyp.tokens, replace(hyp.scores, lm=lm_score)))
     return NBestList(nbest.utterance_id, tuple(out))
 

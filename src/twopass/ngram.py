@@ -124,10 +124,10 @@ def load_arpa(path: str | os.PathLike) -> NGramModel:
     """Parse an ARPA file into an NGramModel.
 
     Checks: declared counts match section contents, every higher-order gram's
-    context exists at the next order down, log10 probabilities are finite
-    and <= 0, backoff weights are finite, no duplicate grams. Backoff weights
-    default to 0 (log) when absent. Blank lines and lines after \\end\\ are
-    ignored.
+    context exists at the next order down, log-probabilities are <= 0, every
+    value is finite once scaled to natural log (so -1e308 is rejected), no
+    duplicate grams. Backoff weights default to 0 (log) when absent. Blank
+    lines and lines after \\end\\ are ignored.
     """
     counts: list[int] | None = None  # declared counts, from the \data\ line on
     tables: list[dict] | None = None  # one per order, once the counts end
@@ -164,16 +164,17 @@ def load_arpa(path: str | os.PathLike) -> NGramModel:
                 logp10 = float(fields[0])
             except ValueError:
                 raise bad("malformed line") from None
-            if not (math.isfinite(logp10) and math.isfinite(bow10)):
+            logp, bow = logp10 * LN10, bow10 * LN10
+            if not (math.isfinite(logp) and math.isfinite(bow)):
                 raise bad("non-finite value")
-            if logp10 > 0.0:
+            if logp > 0.0:
                 raise bad("positive log-probability")
             gram = tuple(fields[1:])
             if gram in tables[k - 1]:
                 raise bad("duplicate n-gram")
             if k > 1 and gram[:-1] not in tables[k - 2]:
                 raise bad("n-gram referencing unseen context")
-            tables[k - 1][gram] = (logp10 * LN10, bow10 * LN10)
+            tables[k - 1][gram] = (logp, bow)
             continue
         if line == "\\end\\":
             break

@@ -5,18 +5,22 @@ acceptance checks 02-03 compare the beam search against; tune_weights is
 the one-call form of grid search plus weight selection;
 reference_viterbi_align is the forced-alignment recursion that indexes a
 float64 numpy row per cell, which aligner.viterbi_align must reproduce bit
-for bit; reference_prefix_beam_search is the scalar per-(prefix, symbol)
+for bit; reference_am_score is one such alignment per hypothesis, whose
+scores and exceptions aligner.am_scores must reproduce for a whole list;
+reference_prefix_beam_search is the scalar per-(prefix, symbol)
 beam search whose tokens and score bits decoder.prefix_beam_search must
 reproduce.
 """
-from twopass.aligner import PronGraph
+from twopass.aligner import PronGraph, expand_pronunciations
 from twopass.core import (
     MINUS_INF,
     AlignmentError,
     Hypothesis,
     NBestList,
+    OOVError,
     PosteriorMatrix,
     ScoreBundle,
+    detokenize,
     log_add,
 )
 from twopass.fusion import grid_search, select_weights
@@ -132,6 +136,26 @@ def reference_viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     states.reverse()
     alignment = tuple(graph.phoneme_ids[s] for s in states)
     return float(best_score), alignment
+
+
+def reference_am_score(hypothesis, posteriors, lexicon, vocab, options) -> float:
+    """Acoustic log-score of one hypothesis: detokenize, expand its own
+    pronunciation graph and align it with reference_viterbi_align. A
+    dangling, empty, OOV or too-short hypothesis raises under the strict
+    policy and scores frames * floor_log_prob under floor."""
+    try:
+        words = detokenize(hypothesis.tokens, vocab)
+        if not words:
+            raise AlignmentError("empty hypothesis")
+        graph = expand_pronunciations(
+            words, lexicon, allow_silence=options.allow_silence,
+            silence_phoneme=options.silence_phoneme)
+        return reference_viterbi_align(
+            posteriors, graph, log_prior_shift=options.phoneme_log_priors)[0]
+    except (OOVError, AlignmentError):
+        if options.oov_policy == "floor":
+            return posteriors.frames * options.floor_log_prob
+        raise
 
 
 def reference_prefix_beam_search(posteriors, config, utterance_id="utt"):

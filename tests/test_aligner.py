@@ -3,10 +3,14 @@
 viterbi_align is checked against a brute-force search that enumerates every
 frame-state path through the pronunciation graph (entry charges, transition
 charges and all) and takes the max, and bit for bit against the reference
-recursion in oracles.py.  Graph construction is checked through
+recursion in oracles.py; am_scores, which scores a whole N-best list in
+one pass, is checked against one reference alignment per hypothesis.
+Graph construction is checked through
 closed-form path counts: a sequence of words with n1, n2, ... pronunciations
 and optional silence at the s possible slots admits prod(ni) * 2^s paths.
 """
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +20,7 @@ from twopass.aligner import (
     AlignOptions,
     DEFAULT_FLOOR_LOG_PROB,
     am_score,
+    am_scores,
     expand_pronunciations,
     viterbi_align,
 )
@@ -233,12 +238,10 @@ class TestViterbi:
             viterbi_align(m, g)
 
 
-def random_alignment_case(rng):
-    """(matrix, graph, log_prior_shift) over a random lexicon and word
-    sequence. Silence, explicit priors, a shift and a too-short matrix each
-    come up in about half the cases or less; the matrix is uniform in one
-    case in four and has two equal columns in another, so that exact ties
-    decide the alignment."""
+def random_lexicon(rng):
+    """(phoneme vocabulary, lexicon) for 1-3 words w0, w1, ... of 1-3
+    pronunciations of 1-3 phonemes over 2-5 phonemes plus "sil"; half the
+    words carry explicit priors, and those are 0.5 half the time."""
     def count(low, high):
         return int(rng.integers(low, high))
 
@@ -255,14 +258,15 @@ def random_alignment_case(rng):
                 prob = round(float(rng.uniform(0.05, 1.0)), 3)
                 prior = "%r\t" % (0.5 if rng.random() < 0.5 else prob)
             lines.append("w%d\t%s%s" % (w, prior, " ".join("p%d" % x for x in pron)))
-    lex = parse_lexicon(lines, ph)
-    words = [str(rng.choice(sorted(lex.entries))) for _ in range(count(1, 4))]
-    silence = bool(rng.integers(2))
-    graph = expand_pronunciations(
-        words, lex, allow_silence=silence,
-        silence_phoneme=ph.id_of("sil") if silence else None)
-    frames = max(1, graph.min_path_states() + count(-2, 5))
-    kind = count(0, 4)
+    return ph, parse_lexicon(lines, ph)
+
+
+def random_matrix_and_shift(rng, ph, frames):
+    """A (frames x len(ph)) matrix, uniform in one case in four and with two
+    equal columns in another, so that exact ties occur; and a log-prior
+    shift in about two cases in five, else None."""
+    symbols = len(ph)
+    kind = int(rng.integers(0, 4))
     if kind == 0:
         probs = np.full((frames, symbols), 1.0 / symbols)
     else:
@@ -274,6 +278,23 @@ def random_alignment_case(rng):
     shift = None
     if rng.random() < 0.4:
         shift = np.log(rng.dirichlet(np.ones(symbols))).tolist()
+    return matrix, shift
+
+
+def random_alignment_case(rng):
+    """(matrix, graph, log_prior_shift) over a random lexicon and word
+    sequence. Silence, explicit priors, a shift and a too-short matrix each
+    come up in about half the cases or less; exact ties decide the
+    alignment in about half the cases."""
+    ph, lex = random_lexicon(rng)
+    words = [str(rng.choice(sorted(lex.entries)))
+             for _ in range(int(rng.integers(1, 4)))]
+    silence = bool(rng.integers(2))
+    graph = expand_pronunciations(
+        words, lex, allow_silence=silence,
+        silence_phoneme=ph.id_of("sil") if silence else None)
+    frames = max(1, graph.min_path_states() + int(rng.integers(-2, 5)))
+    matrix, shift = random_matrix_and_shift(rng, ph, frames)
     return matrix, graph, shift
 
 
@@ -297,6 +318,91 @@ class TestViterbiMatchesReference:
             assert got == want, "trial %d" % trial
             aligned += isinstance(got[0], float)
         assert 300 < aligned < 600  # both outcomes are exercised
+
+
+# "▁w" "1" spells the word of "▁w1"; "▁zz" is never in a lexicon; "x"
+# dangles at the start of a hypothesis and spells an OOV word elsewhere.
+LIST_PIECES = Vocabulary(
+    (BLANK, "▁w", "0", "1", "2", "▁w0", "▁w1", "▁w2", "▁zz", "x"))
+
+
+def random_nbest_case(rng):
+    """(hypotheses, matrix, lexicon, options) for one N-best list of 1-8
+    hypotheses over random_lexicon's words.
+
+    Each hypothesis is a prefix of one of 1-3 base word sequences, so
+    hypotheses share prefixes and repeat; each word is spelled as one piece
+    or as two at random, so distinct token sequences carry the same words.
+    One hypothesis in four is empty, dangling or holds an OOV word. The
+    frame count is drawn around the first base's shortest path, so some
+    hypotheses are too short. Silence is on in half the lists."""
+    def count(low, high):
+        return int(rng.integers(low, high))
+
+    ph, lexicon = random_lexicon(rng)
+    known = sorted(lexicon.entries)
+    bases = [[known[count(0, len(known))] for _ in range(count(1, 5))]
+             for _ in range(count(1, 4))]
+    piece = LIST_PIECES.id_of
+    hypotheses = []
+    for _ in range(count(1, 9)):
+        base = bases[count(0, len(bases))]
+        tokens = []
+        for word in base[:count(1, len(base) + 1)]:
+            if rng.random() < 0.5:
+                tokens.append(piece("▁" + word))
+            else:
+                tokens += [piece("▁w"), piece(word[1:])]
+        fault = count(0, 16)
+        if fault == 0:
+            tokens = []
+        elif fault == 1:
+            tokens.insert(0, piece("x"))
+        elif fault == 2:
+            tokens.insert(count(0, len(tokens) + 1), piece("▁zz"))
+        elif fault == 3:
+            tokens.append(piece("x"))
+        hypotheses.append(Hypothesis(tuple(tokens), ScoreBundle(e2e=-1.0)))
+    silence = bool(rng.integers(2))
+    shortest = expand_pronunciations(bases[0], lexicon).min_path_states()
+    matrix, shift = random_matrix_and_shift(
+        rng, ph, max(1, shortest + count(-2, 4)))
+    options = AlignOptions(
+        allow_silence=silence, silence_phoneme=ph.id_of("sil") if silence else None,
+        phoneme_log_priors=None if shift is None else tuple(shift))
+    return hypotheses, matrix, lexicon, options
+
+
+def scores_or_error(score_list):
+    """The repr of every score, or the (type, message) of the exception."""
+    try:
+        return [repr(score) for score in score_list()]
+    except (OOVError, AlignmentError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAmScoresMatchReference:
+
+    def test_list_matches_one_reference_alignment_per_hypothesis(self):
+        rng = np.random.default_rng(1618)
+        outcomes = collections.Counter()
+        for trial in range(250):
+            hyps, matrix, lexicon, options = random_nbest_case(rng)
+            for policy in ("floor", "strict"):
+                opts = dataclasses.replace(options, oov_policy=policy)
+                got = scores_or_error(
+                    lambda: am_scores(hyps, matrix, lexicon, LIST_PIECES, opts))
+                want = scores_or_error(lambda: [
+                    oracles.reference_am_score(h, matrix, lexicon, LIST_PIECES, opts)
+                    for h in hyps])
+                assert got == want, "trial %d, %s" % (trial, policy)
+                outcomes[policy, got[1] if isinstance(got, tuple) else "scored"] += 1
+        # every floor reason raises under strict, and most lists align
+        assert {message for (policy, message) in outcomes if policy == "strict"} \
+            >= {"scored", "empty hypothesis", "dangling continuation token: x",
+                "OOV word: zz", "utterance too short to align"}
+        assert outcomes["floor", "scored"] == 250
+        assert outcomes["strict", "scored"] > 40
 
 
 WP = Vocabulary((BLANK, "▁go", "▁stop", "p"))

@@ -459,6 +459,40 @@ class TestRescore:
                              "--word-lm", str(lm)) == 2
         assert "token not in LM vocabulary" in capsys.readouterr().err
 
+    def test_parallel_jobs_match_one_job(self, workdir, tmp_path):
+        one, two = tmp_path / "one.nbest", tmp_path / "two.nbest"
+        assert self._rescore(workdir, one, "--lambda-am", "0.5") == 0
+        assert self._rescore(workdir, two, "--lambda-am", "0.5",
+                             "--jobs", "2") == 0
+        assert two.read_bytes() == one.read_bytes()
+
+    @staticmethod
+    def _word_lm_with_logprobs(workdir, path, log10):
+        """The workdir's word LM with every log10 probability set to log10."""
+        lines = (workdir / "data" / "word_lm.arpa").read_text(
+            encoding="utf-8").splitlines()
+        path.write_text("\n".join(
+            log10 + line[line.index("\t"):] if line.startswith("-") else line
+            for line in lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_word_lm_value_that_overflows_natural_log_is_data_error(
+            self, workdir, tmp_path, capsys):
+        # -1e308 is finite in log10 but -inf once scaled by ln 10
+        lm = self._word_lm_with_logprobs(workdir, tmp_path / "huge.arpa", "-1e308")
+        assert self._rescore(workdir, tmp_path / "x.nbest",
+                             "--word-lm", str(lm)) == 2
+        err = capsys.readouterr().err
+        assert "huge.arpa: line" in err and "non-finite value" in err
+
+    def test_word_lm_sum_that_overflows_is_data_error(self, workdir, tmp_path,
+                                                      capsys):
+        # each term is finite (-1.15e308 in natural log); any two sum to -inf
+        lm = self._word_lm_with_logprobs(workdir, tmp_path / "big.arpa", "-5e307")
+        assert self._rescore(workdir, tmp_path / "x.nbest",
+                             "--word-lm", str(lm)) == 2
+        assert "big.arpa: word LM score of " in capsys.readouterr().err
+
     def test_nul_byte_in_manifest_path_is_data_error(self, workdir, tmp_path,
                                                      capsys):
         data = workdir / "data"
