@@ -340,8 +340,12 @@ def _cmd_decode(args) -> int:
         if utt is None:
             utt = os.path.splitext(os.path.basename(args.posteriors))[0]
         tasks = [(utt, args.posteriors)]
-    results = _run_pool(
-        tasks, _decode_task, {"vocab": vocab, "config": config}, args.jobs)
+    try:
+        results = _run_pool(
+            tasks, _decode_task, {"vocab": vocab, "config": config}, args.jobs)
+    except OverflowError as exc:
+        path = args.lm if str(exc).startswith("external") else args.ilm
+        raise FormatError("%s: %s" % (path, exc)) from None
     core.write_nbest(results, vocab, args.out)
     log.info("decoded %d utterances -> %s", len(results), args.out)
     return 0

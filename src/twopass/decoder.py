@@ -22,7 +22,9 @@ np.logaddexp is avoided because it rounds differently. LM and ILM scores
 come from NGramModel.conditional_row, which trims <s> + prefix to each
 model's state (its last order-1 symbols) and memoises one row of
 conditionals over the vocabulary per state, so one decode command, or one
---jobs worker, fills each state once across all utterances.
+--jobs worker, fills each state once across all utterances. Conditionals
+are finite, but their sum over a prefix can overflow: an LM or ILM total
+that is not finite raises OverflowError before any weight multiplies it.
 """
 from __future__ import annotations
 
@@ -80,6 +82,19 @@ def _check_lm_coverage(model: NGramModel, symbols, what: str) -> None:
     if missing:
         raise VocabMismatchError(
             "%s does not cover posterior symbols: %s" % (what, " ".join(missing)))
+
+
+def _extension_totals(totals, rows, model, what: str, utterance_id: str):
+    """(beam x symbol) LM totals of every extension: each prefix's total
+    plus its row of conditionals. OverflowError if an attached model's
+    total is not finite; without a model every entry is 0.0."""
+    if model is None:
+        return np.array(totals)[:, None] + np.array(rows)
+    with np.errstate(over="ignore"):
+        ext = np.array(totals)[:, None] + np.array(rows)
+    if not np.isfinite(ext).all():
+        raise OverflowError("%s total overflows float64 in %s" % (what, utterance_id))
+    return ext
 
 
 def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
@@ -142,8 +157,8 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
         lasts = [prefixes[i][-1] for i in rep]
         contrib[rep, [c - 1 for c in lasts]] = (
             np.array([p_b[i] for i in rep]) + row[lasts])
-        ext_lm = np.array(s_lm)[:, None] + np.array(lm_rows)
-        ext_ilm = np.array(s_ilm)[:, None] + np.array(ilm_rows)
+        ext_lm = _extension_totals(s_lm, lm_rows, lm, "external LM", utterance_id)
+        ext_ilm = _extension_totals(s_ilm, ilm_rows, ilm, "internal LM", utterance_id)
         ext_fused = contrib + w_lm * ext_lm - w_ilm * ext_ilm
         is_new = contrib != MINUS_INF
 

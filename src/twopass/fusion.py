@@ -5,13 +5,26 @@ fused = e2e + lambda_am * am + lambda_lm * lm - lambda_ilm * ilm
 An AM-fusion configuration (lambda_am, lambda_lm, 0) ranks identically to
 the LM/ILM configuration (0, lambda_lm/(1+lambda_am), lambda_am/(1+lambda_am))
 whenever am = e2e - ilm; equivalent_lm_weights computes that mapping.
+
+fuse_scores is the one place the formula is written. It takes one
+hypothesis's floats or same-shape float64 arrays, and a NaN result is a
+ValueError rather than a rank. grid_search fuses a (list x hypothesis)
+array per grid point and picks each row's argmax. That is exactly
+rank_hypotheses' top: each element goes through the same IEEE float64
+operations in the same order as the scalar call, the columns are sorted by
+tokens, and argmax returns the first maximum, i.e. the smallest tokens
+among tied scores (0.0 and -0.0 tie, as they do in the sort key).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
 
 from .core import (
+    MINUS_INF,
     FusionWeights,
     Hypothesis,
     Lexicon,
@@ -23,19 +36,27 @@ from .core import (
     with_am,
 )
 from .aligner import AlignOptions, am_scores
-from .metrics import ErrorCounts, wer
+from .metrics import normalize, wer
 from .ngram import NGramModel
 
 
-def fuse_scores(bundle: ScoreBundle, weights: FusionWeights) -> float:
-    """Log-linear fused score of one hypothesis."""
+def fuse_scores(bundle: ScoreBundle, weights: FusionWeights):
+    """Log-linear fused score of one hypothesis, or elementwise over any
+    bundle whose e2e/lm/ilm/am are same-shape float64 arrays.
+
+    A weight times a score can overflow to an infinity, and opposite
+    infinities sum to NaN, which has no rank: ValueError.
+    """
     total = bundle.e2e
     if weights.lambda_am != 0.0:
         if bundle.am is None:
             raise ValueError("lambda_am > 0 but am score is missing")
-        total += weights.lambda_am * bundle.am
-    total += weights.lambda_lm * bundle.lm
-    total -= weights.lambda_ilm * bundle.ilm
+        total = total + weights.lambda_am * bundle.am
+    total = total + weights.lambda_lm * bundle.lm
+    total = total - weights.lambda_ilm * bundle.ilm
+    # total != total is the NaN test that stays cheap on a float
+    if np.isnan(total).any() if isinstance(total, np.ndarray) else total != total:
+        raise ValueError("fused score is NaN: a fusion weight times a score overflows")
     return total
 
 
@@ -105,7 +126,12 @@ def grid_search(dev, grid, vocab: Vocabulary) -> list[tuple[FusionWeights, float
     """Corpus WER of every grid point on a dev set, in grid order.
 
     dev is a sequence of (NBestList, reference word sequence) pairs whose
-    lists already carry every score component a grid point needs. A list's
+    lists already carry every score component a grid point needs. The
+    components are stacked once into (list x hypothesis) arrays, each row's
+    columns sorted by tokens; padding is e2e and am -inf, lm and ilm 0.0,
+    so it fuses to -inf at any weight and never beats a real column. Each
+    point is one fuse_scores call and a row argmax, which selects exactly
+    what rank_hypotheses puts first (see the module docstring). A list's
     top hypothesis is scored once, when a point first selects it.
     """
     dev = list(dev)
@@ -116,17 +142,30 @@ def grid_search(dev, grid, vocab: Vocabulary) -> list[tuple[FusionWeights, float
         raise ValueError("empty dev set")
     if sum(len(ref) for _, ref in dev) == 0:
         raise ValueError("dev references are empty")
-    errors: dict[tuple[int, tuple[int, ...]], ErrorCounts] = {}
+    lists = [sorted(nbest.hypotheses, key=lambda h: h.tokens) for nbest, _ in dev]
+    width = max(len(hyps) for hyps in lists)
+
+    def stacked(name, pad):
+        out = np.full((len(lists), width), pad)
+        for row, hyps in zip(out, lists):
+            row[:len(hyps)] = [getattr(h.scores, name) for h in hyps]
+        return out
+
+    has_am = all(h.scores.am is not None for hyps in lists for h in hyps)
+    stack = SimpleNamespace(
+        e2e=stacked("e2e", MINUS_INF), lm=stacked("lm", 0.0),
+        ilm=stacked("ilm", 0.0), am=stacked("am", MINUS_INF) if has_am else None)
+    ref_words = sum(len(normalize(" ".join(ref))) for _, ref in dev)
+    rows = np.arange(len(lists))
+    errors = np.full((len(lists), width), -1)  # -1: not scored yet
     results = []
     for weights in grid:
-        key = _rank_key(weights)
-        counts = ErrorCounts()
-        for index, (nbest, ref) in enumerate(dev):
-            top = min(nbest.hypotheses, key=key).tokens
-            if (index, top) not in errors:
-                errors[index, top] = wer(ref, detokenize(top, vocab))
-            counts = counts + errors[index, top]
-        results.append((weights, counts.wer))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pick = fuse_scores(stack, weights).argmax(axis=1)
+        for index in np.flatnonzero(errors[rows, pick] < 0).tolist():
+            words = detokenize(lists[index][pick[index]].tokens, vocab)
+            errors[index, pick[index]] = wer(dev[index][1], words).errors
+        results.append((weights, int(errors[rows, pick].sum()) / ref_words))
     return results
 
 

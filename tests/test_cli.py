@@ -41,6 +41,23 @@ def vocab_of(workdir):
     return core.load_vocabulary(str(workdir / "data" / "wordpieces.txt"))
 
 
+def arpa_with_logprobs(workdir, name, path, log10):
+    """The workdir's ARPA model name with every log10 probability set to
+    log10."""
+    lines = (workdir / "data" / name).read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(
+        log10 + line[line.index("\t"):] if line.startswith("-") else line
+        for line in lines) + "\n", encoding="utf-8")
+    return path
+
+
+def only_error_line(err):
+    """The one stderr line that is not the effective-config log: no NumPy
+    warning and no traceback."""
+    (line,) = [line for line in err.splitlines() if not line.startswith("INFO ")]
+    return line
+
+
 class TestSynth:
 
     def test_layout(self, workdir):
@@ -146,6 +163,26 @@ class TestDecode:
             "--vocab", str(workdir / "data" / "wordpieces.txt"),
             "--out", str(tmp_path / "x.nbest")]) == 2
         assert "nul.list: line 1: NUL byte in path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("model,weight", [
+        ("lm", "0.5"), ("lm", "0"), ("ilm", "0")])
+    def test_lm_total_that_overflows_is_data_error(self, workdir, tmp_path,
+                                                   capsys, model, weight, jobs):
+        # each conditional is finite (-1.15e308 in natural log); a prefix of
+        # two tokens sums to -inf, and at weight 0 that would fuse to NaN
+        arpa = arpa_with_logprobs(workdir, "wordpiece_lm.arpa",
+                                  tmp_path / "big.arpa", "-5e307")
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--" + model, str(arpa), "--lambda-" + model, weight,
+            "--jobs", jobs, "--out", str(out)]) == 2
+        what = "external" if model == "lm" else "internal"
+        assert only_error_line(capsys.readouterr().err).startswith(
+            "twopass: %s: %s LM total overflows float64 in dev-" % (arpa, what))
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -466,20 +503,11 @@ class TestRescore:
                              "--jobs", "2") == 0
         assert two.read_bytes() == one.read_bytes()
 
-    @staticmethod
-    def _word_lm_with_logprobs(workdir, path, log10):
-        """The workdir's word LM with every log10 probability set to log10."""
-        lines = (workdir / "data" / "word_lm.arpa").read_text(
-            encoding="utf-8").splitlines()
-        path.write_text("\n".join(
-            log10 + line[line.index("\t"):] if line.startswith("-") else line
-            for line in lines) + "\n", encoding="utf-8")
-        return path
-
     def test_word_lm_value_that_overflows_natural_log_is_data_error(
             self, workdir, tmp_path, capsys):
         # -1e308 is finite in log10 but -inf once scaled by ln 10
-        lm = self._word_lm_with_logprobs(workdir, tmp_path / "huge.arpa", "-1e308")
+        lm = arpa_with_logprobs(workdir, "word_lm.arpa", tmp_path / "huge.arpa",
+                                "-1e308")
         assert self._rescore(workdir, tmp_path / "x.nbest",
                              "--word-lm", str(lm)) == 2
         err = capsys.readouterr().err
@@ -488,10 +516,30 @@ class TestRescore:
     def test_word_lm_sum_that_overflows_is_data_error(self, workdir, tmp_path,
                                                       capsys):
         # each term is finite (-1.15e308 in natural log); any two sum to -inf
-        lm = self._word_lm_with_logprobs(workdir, tmp_path / "big.arpa", "-5e307")
+        lm = arpa_with_logprobs(workdir, "word_lm.arpa", tmp_path / "big.arpa",
+                                "-5e307")
         assert self._rescore(workdir, tmp_path / "x.nbest",
                              "--word-lm", str(lm)) == 2
         assert "big.arpa: word LM score of " in capsys.readouterr().err
+
+    def test_fused_score_that_is_nan_is_usage_error(self, workdir, tmp_path,
+                                                    capsys):
+        # lm and ilm are negative, so 1e308 times each is -inf and the
+        # fused score is -inf - -inf
+        data = workdir / "data"
+        nbest = tmp_path / "lm.nbest"
+        assert cli.main([
+            "decode", "--list", str(data / "dev_e2e.list"),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--lm", str(data / "wordpiece_lm.arpa"), "--lambda-lm", "0.1",
+            "--ilm", str(data / "wordpiece_lm.arpa"), "--lambda-ilm", "0.1",
+            "--out", str(nbest)]) == 0
+        capsys.readouterr()
+        assert self._rescore(workdir, tmp_path / "x.nbest", "--nbest", str(nbest),
+                             "--lambda-lm", "1e308", "--lambda-ilm", "1e308") == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: invalid arguments: fused score is NaN: "
+            "a fusion weight times a score overflows")
 
     def test_nul_byte_in_manifest_path_is_data_error(self, workdir, tmp_path,
                                                      capsys):
@@ -708,6 +756,23 @@ class TestHandMadeLists:
         assert self._tune(f, "--grid-lm", "0,1") == 2
         assert "non-finite" in capsys.readouterr().err
         assert self._score_nbest(f) == 2
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_fused_score_that_is_nan_is_usage_error(self, tmp_path, capsys,
+                                                    order):
+        # at weights 1e308, -1e308 * 5 + 1e308 * 3 is -inf - -inf for both
+        # hypotheses; a NaN has no rank, so file order must not pick one
+        rows = ["\t-1.0\t-5.0\t-3.0\tNA\t▁x", "\t-2.0\t-1.0\t-1.0\tNA\t▁y"]
+        f = self._files(tmp_path, ref_text="x",
+                        pieces=("<blank>", "▁x", "▁y"),
+                        rows=["u1\t%d%s" % (rank, rows[i])
+                              for rank, i in enumerate(order, 1)])
+        assert self._tune(f, "--grid-lm", "1e308", "--grid-ilm", "1e308") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert only_error_line(captured.err) == (
+            "twopass: invalid arguments: fused score is NaN: "
+            "a fusion weight times a score overflows")
 
     def test_oracle_skips_hypothesis_that_does_not_detokenize(self, tmp_path,
                                                               capsys):

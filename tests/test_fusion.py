@@ -8,6 +8,7 @@ from twopass import fusion
 from twopass.aligner import AlignOptions, am_score
 from twopass.core import (
     BLANK,
+    DanglingTokenError,
     FormatError,
     FusionWeights,
     Hypothesis,
@@ -338,7 +339,37 @@ class TestTuning:
                 for seq in seqs]
             ref = tuple(rng.choice(["x", "y"], rng.integers(1, 4)))
             dev.append((NBestList("u%d" % u, hyps), ref))
+        # every am -inf: at lambda_am > 0 the whole row fuses to -inf
+        dev.append((NBestList("inf", (
+            Hypothesis((2, 1), bundle(-0.5, lm=-1.0, am=-math.inf)),
+            Hypothesis((1, 2), bundle(-2.0, ilm=-1.0, am=-math.inf)),
+            Hypothesis((2,), bundle(-1.0, am=-math.inf)))), ("x", "y")))
+        # one-hypothesis lists beside longer ones leave padding columns
+        dev.append((NBestList("one", (
+            Hypothesis((2, 2), bundle(-3.0, lm=-1.0, am=-2.0)),)), ("y",)))
+        dev.append((NBestList("one-inf", (
+            Hypothesis((1,), bundle(-1.0, am=-math.inf)),)), ("x",)))
+        # -0.0 and 0.0 fuse to themselves at every point, and tie on top
+        for name, negative, positive in (("zero-a", (2,), (1,)),
+                                         ("zero-b", (1,), (2,))):
+            dev.append((NBestList(name, (
+                Hypothesis(negative, bundle(-0.0, lm=-0.0, am=-0.0)),
+                Hypothesis(positive, bundle(0.0, am=0.0)),
+                Hypothesis((1, 1), bundle(-1.0, lm=-1.0, am=-1.0)))), ("y",)))
         halves = (0.0, 0.5, 1.0)
         grid = [FusionWeights(a, l, i) for a in halves for l in halves
                 for i in halves if 0.0 in (a, l, i)]
         assert grid_search(dev, grid, WP) == reference_grid_search(dev, grid, WP)
+
+        # "z ▁x" cannot be detokenized and tops its list only once lambda_am
+        # reaches 0.5, after every lambda_am = 0 point has been scored
+        vocab = Vocabulary(WP.symbols + ("z",))
+        dangling = dev + [(NBestList("dangling", (
+            Hypothesis((1,), bundle(-0.5, am=-1.0)),
+            Hypothesis((3, 1), bundle(-9.0, am=20.0)))), ("x",))]
+        raised = []
+        for search in (grid_search, reference_grid_search):
+            with pytest.raises(DanglingTokenError) as info:
+                search(dangling, grid, vocab)
+            raised.append(str(info.value))
+        assert raised == ["dangling continuation token: z"] * 2
