@@ -25,10 +25,21 @@ conditionals over the vocabulary per state, so one decode command, or one
 --jobs worker, fills each state once across all utterances. Conditionals
 are finite, but their sum over a prefix can overflow: an LM or ILM total
 that is not finite raises OverflowError before any weight multiplies it.
+
+Each survivor's CTC total log_add(p_b, p_nb) is carried to the next frame:
+a kept beam entry's is the total it was ranked by, and a new extension's is
+its nonblank mass, since log_add(-inf, x) is x. With no LM and no ILM the
+weights are 0 and the fused score is that total, so a frame builds no LM
+arrays and survivors keep lm = ilm = 0.0 (x + 0.0 - 0.0 differs from x
+only in the sign of zero, which no comparison sees). With a model
+attached, the candidates are fused by fusion.fuse_scores, which applies
+its rule: a weight times a score that overflows to -inf ranks silently,
+and a NaN candidate score raises ValueError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from .core import (
     VocabMismatchError,
     log_add,
 )
-from .fusion import rank_hypotheses
+from .fusion import fuse_scores, rank_hypotheses
 from .ngram import SENTENCE_START, NGramModel
 
 
@@ -84,17 +95,18 @@ def _check_lm_coverage(model: NGramModel, symbols, what: str) -> None:
             "%s does not cover posterior symbols: %s" % (what, " ".join(missing)))
 
 
-def _extension_totals(totals, rows, model, what: str, utterance_id: str):
-    """(beam x symbol) LM totals of every extension: each prefix's total
-    plus its row of conditionals. OverflowError if an attached model's
-    total is not finite; without a model every entry is 0.0."""
+def _candidate_totals(model, totals, rows, new_at, what: str, utterance_id: str):
+    """LM totals of the candidates of one frame: each beam entry's own total,
+    then each new extension new_at of the (beam x symbol) matrix, its
+    prefix's total plus that row's conditional. OverflowError if one of
+    the matrix's totals is not finite; without a model every entry is 0.0.
+    The caller silences NumPy's overflow warning."""
     if model is None:
-        return np.array(totals)[:, None] + np.array(rows)
-    with np.errstate(over="ignore"):
-        ext = np.array(totals)[:, None] + np.array(rows)
+        return np.zeros(len(totals) + len(new_at))
+    ext = np.array(totals)[:, None] + np.array(rows)
     if not np.isfinite(ext).all():
         raise OverflowError("%s total overflows float64 in %s" % (what, utterance_id))
-    return ext
+    return np.concatenate((totals, ext.ravel()[new_at]))
 
 
 def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
@@ -117,57 +129,52 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
     vocab.require_blank()
     syms = vocab.symbols
     lm, ilm = config.lm, config.ilm
+    models = [m for m in (lm, ilm) if m is not None]
     if lm is not None:
         _check_lm_coverage(lm, syms, "external LM")
     if ilm is not None:
         _check_lm_coverage(ilm, syms, "internal LM")
-    w_lm = config.weights.lambda_lm
-    w_ilm = config.weights.lambda_ilm
     width = config.beam_width
     tokens = syms[1:]
     n_ext = len(tokens)
-    k = max((m.order for m in (lm, ilm) if m is not None), default=1)
-    flat = np.zeros(n_ext)
+    k = max((m.order for m in models), default=1)
 
     def rows(prefix):  # k symbols hold any attached model's state
-        if lm is None and ilm is None:
-            return flat, flat
         history = (SENTENCE_START,) + tuple(syms[i] for i in prefix[-k:])
-        return (flat if lm is None else lm.conditional_row(history, tokens),
-                flat if ilm is None else ilm.conditional_row(history, tokens))
+        return (None if lm is None else lm.conditional_row(history, tokens),
+                None if ilm is None else ilm.conditional_row(history, tokens))
 
     # Beam entry i: prefixes[i] with log p(blank-ending) p_b[i], log
-    # p(nonblank-ending) p_nb[i], LM/ILM totals s_lm[i]/s_ilm[i] and the
-    # LM/ILM conditional rows of its state.
+    # p(nonblank-ending) p_nb[i] and their log_add totals[i]; with a model
+    # attached, also LM/ILM totals s_lm[i]/s_ilm[i] and the (LM, ILM)
+    # conditional rows state_rows[i] of its state.
     prefixes = [()]
-    p_b, p_nb, s_lm, s_ilm = [0.0], [MINUS_INF], [0.0], [0.0]
-    lm_row, ilm_row = rows(())
-    lm_rows, ilm_rows = [lm_row], [ilm_row]
+    p_b, p_nb, totals = [0.0], [MINUS_INF], [0.0]
+    s_lm, s_ilm = [0.0], [0.0]
+    state_rows = [rows(())] if models else []
     values = posteriors.values.astype(np.float64)
     for t in range(posteriors.frames):
         row = values[t]
         row_l = row.tolist()
         n = len(prefixes)
-        totals = [log_add(a, b) for a, b in zip(p_b, p_nb)]
         # Extension of beam i by symbol c sits at [i, c - 1]; on the repeat
         # column only the blank-ending mass extends (a genuine repeated
         # label needs a blank in between).
-        contrib = np.add.outer(np.array(totals), row[1:])
+        contrib = np.add.outer(totals, row[1:])
         rep = [i for i, prefix in enumerate(prefixes) if prefix]
-        lasts = [prefixes[i][-1] for i in rep]
-        contrib[rep, [c - 1 for c in lasts]] = (
-            np.array([p_b[i] for i in rep]) + row[lasts])
-        ext_lm = _extension_totals(s_lm, lm_rows, lm, "external LM", utterance_id)
-        ext_ilm = _extension_totals(s_ilm, ilm_rows, ilm, "internal LM", utterance_id)
-        ext_fused = contrib + w_lm * ext_lm - w_ilm * ext_ilm
+        if rep:
+            lasts = [prefixes[i][-1] for i in rep]
+            contrib[rep, [c - 1 for c in lasts]] = (
+                np.array([p_b[i] for i in rep]) + row[lasts])
         is_new = contrib != MINUS_INF
 
         # Each prefix already in the beam keeps its blank mass, collapses
         # its repeat frames and takes its parent's extension, if any.
         index = {prefix: i for i, prefix in enumerate(prefixes)}
         blank = row_l[0]
-        self_b, self_nb = [], []
+        self_b, self_nb, self_total = [], [], []
         for i, prefix in enumerate(prefixes):
+            b = totals[i] + blank
             nb = MINUS_INF
             if prefix:
                 nb = p_nb[i] + row_l[prefix[-1]]
@@ -176,15 +183,26 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
                     at = (parent, prefix[-1] - 1)
                     nb = log_add(nb, contrib[at].item())
                     is_new[at] = False
-            self_b.append(totals[i] + blank)
+            self_b.append(b)
             self_nb.append(nb)
-        self_fused = [
-            log_add(b, nb) + w_lm * x - w_ilm * y
-            for b, nb, x, y in zip(self_b, self_nb, s_lm, s_ilm)]
+            self_total.append(log_add(b, nb))
 
         # Candidates: the n beam entries, then the new extensions new_at.
-        new_at = np.flatnonzero(is_new)
-        scores = np.concatenate((self_fused, ext_fused.ravel()[new_at]))
+        # Their e2e totals are the fused scores unless a model is attached.
+        new_at = is_new.ravel().nonzero()[0]
+        scores = np.concatenate((self_total, contrib.ravel()[new_at]))
+        if models:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_lm = _candidate_totals(
+                    lm, s_lm, [r[0] for r in state_rows], new_at,
+                    "external LM", utterance_id)
+                cand_ilm = _candidate_totals(
+                    ilm, s_ilm, [r[1] for r in state_rows], new_at,
+                    "internal LM", utterance_id)
+                fused = fuse_scores(SimpleNamespace(
+                    e2e=scores, lm=cand_lm, ilm=cand_ilm, am=None), config.weights)
+        else:
+            fused = scores
 
         def candidate_prefix(pos):
             if pos < n:
@@ -194,30 +212,32 @@ def prefix_beam_search(posteriors: PosteriorMatrix, config: BeamConfig,
 
         # Keep the width best by (-fused, prefix): everything above the
         # width-th score, then the smallest prefixes among its ties.
-        keep = np.arange(len(scores))
-        if len(scores) > width:
-            cut = np.partition(scores, len(scores) - width)[len(scores) - width]
-            keep = np.flatnonzero(scores > cut)
-            tied = np.flatnonzero(scores == cut).tolist()
+        keep = range(len(fused))
+        if len(fused) > width:
+            cut = np.partition(fused, len(fused) - width)[len(fused) - width]
+            keep = (fused > cut).nonzero()[0].tolist()
+            tied = (fused == cut).nonzero()[0].tolist()
             if len(keep) + len(tied) > width:
                 tied = sorted(tied, key=candidate_prefix)[:width - len(keep)]
-            keep = np.concatenate((keep, np.array(tied, dtype=np.intp)))
+            keep += tied
 
-        kept_self = keep[keep < n].tolist()
-        kept_ext = keep[keep >= n]
-        ext = new_at[kept_ext - n]
-        ext_prefixes = [candidate_prefix(pos) for pos in kept_ext.tolist()]
-        ext_rows = [rows(prefix) for prefix in ext_prefixes]
-        prefixes = [prefixes[i] for i in kept_self] + ext_prefixes
-        p_b = [self_b[i] for i in kept_self] + [MINUS_INF] * len(ext_prefixes)
-        p_nb = [self_nb[i] for i in kept_self] + contrib.ravel()[ext].tolist()
-        s_lm = [s_lm[i] for i in kept_self] + ext_lm.ravel()[ext].tolist()
-        s_ilm = [s_ilm[i] for i in kept_self] + ext_ilm.ravel()[ext].tolist()
-        lm_rows = [lm_rows[i] for i in kept_self] + [r[0] for r in ext_rows]
-        ilm_rows = [ilm_rows[i] for i in kept_self] + [r[1] for r in ext_rows]
+        # A new extension's blank mass is -inf, so its total is its
+        # nonblank mass: log_add(-inf, x) is x.
+        prefixes = [candidate_prefix(pos) for pos in keep]
+        p_b = [self_b[pos] if pos < n else MINUS_INF for pos in keep]
+        totals = scores[keep].tolist()
+        p_nb = [self_nb[pos] if pos < n else total
+                for pos, total in zip(keep, totals)]
+        if models:
+            s_lm = cand_lm[keep].tolist()
+            s_ilm = cand_ilm[keep].tolist()
+            state_rows = [state_rows[pos] if pos < n else rows(prefix)
+                          for pos, prefix in zip(keep, prefixes)]
 
+    if not models:
+        s_lm = s_ilm = [0.0] * len(prefixes)
     survivors = [
-        Hypothesis(prefix, ScoreBundle(e2e=log_add(b, nb), lm=x, ilm=y))
-        for prefix, b, nb, x, y in zip(prefixes, p_b, p_nb, s_lm, s_ilm)]
+        Hypothesis(prefix, ScoreBundle(e2e=total, lm=x, ilm=y))
+        for prefix, total, x, y in zip(prefixes, totals, s_lm, s_ilm)]
     ranked = rank_hypotheses(survivors, config.weights)
     return NBestList(utterance_id, tuple(ranked[:config.n_best]))

@@ -184,6 +184,45 @@ class TestDecode:
             "twopass: %s: %s LM total overflows float64 in dev-" % (arpa, what))
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fused_score_that_is_nan_is_usage_error(self, workdir, tmp_path,
+                                                    capsys, jobs):
+        # every LM and ILM total of a token is negative, so 1e308 times
+        # each is -inf and an extension fuses to -inf - -inf
+        data = workdir / "data"
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "decode", "--list", str(data / "dev_e2e.list"),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--lm", str(data / "wordpiece_lm.arpa"), "--lambda-lm", "1e308",
+            "--ilm", str(data / "wordpiece_lm.arpa"), "--lambda-ilm", "1e308",
+            "--jobs", jobs, "--out", str(out)]) == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: invalid arguments: fused score is NaN: "
+            "a fusion weight times a score overflows")
+        assert not out.exists()
+
+    def test_fused_score_that_overflows_ranks_silently(self, workdir, tmp_path,
+                                                       capsys):
+        # every nonempty prefix fuses to -inf, so the empty one ranks first
+        # and the rest tie, in token order
+        data = workdir / "data"
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "decode", "--list", str(data / "dev_e2e.list"),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--lm", str(data / "wordpiece_lm.arpa"), "--lambda-lm", "1e308",
+            "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if not line.startswith("INFO ")] == []
+        lists = core.load_nbest(str(out), vocab_of(workdir))
+        assert len(lists) == 6
+        for nbest in lists:
+            tokens = [h.tokens for h in nbest.hypotheses]
+            assert tokens[0] == ()
+            assert tokens[1:] == sorted(tokens[1:])
+
 
 class TestConfigFile:
 
