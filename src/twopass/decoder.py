@@ -21,10 +21,13 @@ folded with the scalar log_add (exactly symmetric in its two arguments);
 np.logaddexp is avoided because it rounds differently. LM and ILM scores
 come from NGramModel.conditional_row, which trims <s> + prefix to each
 model's state (its last order-1 symbols) and memoises one row of
-conditionals over the vocabulary per state, so one decode command, or one
---jobs worker, fills each state once across all utterances. Conditionals
-are finite, but their sum over a prefix can overflow: an LM or ILM total
-that is not finite raises OverflowError before any weight multiplies it.
+conditionals over the vocabulary per state, filled one backoff level at a
+time with the bits of NGramModel.conditional, so one decode command, or
+one --jobs worker, fills each state once across all utterances. A
+conditional overflows to -inf when a backoff weight plus a log-prob does,
+and a sum of finite ones over a prefix can overflow too: an LM or ILM
+total that is not finite raises OverflowError before any weight
+multiplies it.
 
 Each survivor's CTC total log_add(p_b, p_nb) is carried to the next frame:
 a kept beam entry's is the total it was ranked by, and a new extension's is

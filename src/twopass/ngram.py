@@ -38,6 +38,14 @@ class NGramModel:
         self.vocab = frozenset(key[0] for key in tables[0])
         # (LM state, token tuple) -> read-only row of conditionals.
         self._rows: dict[tuple, np.ndarray] = {}
+        # Built by the first conditional_row call: token -> column, the
+        # unigram log-probs by column, and per context its explicit
+        # children as (columns, log-probs) arrays. Then per token tuple of a
+        # row, the columns it gathers.
+        self._columns: dict[str, int] | None = None
+        self._unigrams: np.ndarray | None = None
+        self._children: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._gathers: dict[tuple, np.ndarray] = {}
 
     @property
     def has_unk(self) -> bool:
@@ -78,17 +86,68 @@ class NGramModel:
         """Read-only float64 array of conditional(context, t) for t in tokens.
 
         Memoised per LM state (the last order-1 symbols of context) and
-        token tuple for the life of the model; every entry is computed
-        through conditional, so subclasses overriding it see each query.
+        token tuple for the life of the model. The row is filled one
+        backoff level at a time from the model's tables, without calling
+        conditional: every token gets the empty context's backoff total
+        plus its unigram log-probability, then each context of the state,
+        shortest first, overwrites its explicit children with its own
+        backoff total plus their log-probabilities. The totals are
+        conditional's float additions in its order, and float64 addition
+        in NumPy rounds as Python's does, so every entry has the bits of
+        conditional, including -inf where a total overflows.
         """
         state = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
         row = self._rows.get((state, tokens))
         if row is None:
-            row = np.array([self.conditional(state, t) for t in tokens],
-                           dtype=np.float64)
+            if self._columns is None:
+                self._index_children()
+            gather = self._gathers.get(tokens)
+            if gather is None:
+                columns = self._columns
+                for token in tokens:
+                    if token not in columns:
+                        raise OOVError("token not in LM vocabulary: %s" % token)
+                gather = np.array([columns[t] for t in tokens], dtype=np.intp)
+                self._gathers[tokens] = gather
+            levels = []  # (context, its backoff total), longest first
+            acc = 0.0
+            ctx = state
+            while ctx:
+                levels.append((ctx, acc))
+                bow = self._tables[len(ctx) - 1].get(ctx)
+                if bow is not None:
+                    acc += bow[1]
+                ctx = ctx[1:]
+            with np.errstate(over="ignore"):
+                full = acc + self._unigrams
+                for ctx, total in reversed(levels):
+                    children = self._children.get(ctx)
+                    if children is not None:
+                        full[children[0]] = total + children[1]
+            row = full[gather]
             row.setflags(write=False)
             self._rows[(state, tokens)] = row
         return row
+
+    def _index_children(self) -> None:
+        """Index the tables for conditional_row: a column per vocabulary
+        token, the unigram log-probs by column, and per context the columns
+        and log-probs of its explicit children."""
+        columns = {gram[0]: i for i, gram in enumerate(self._tables[0])}
+        grouped: dict[tuple, tuple[list, list]] = {}
+        for table in self._tables[1:]:
+            for gram, (logp, _) in table.items():
+                column = columns.get(gram[-1])
+                if column is not None:  # conditional never reaches the rest
+                    ids, logps = grouped.setdefault(gram[:-1], ([], []))
+                    ids.append(column)
+                    logps.append(logp)
+        self._unigrams = np.array([logp for logp, _ in self._tables[0].values()],
+                                  dtype=np.float64)
+        self._children = {
+            ctx: (np.array(ids, dtype=np.intp), np.array(logps, dtype=np.float64))
+            for ctx, (ids, logps) in grouped.items()}
+        self._columns = columns
 
     def score_sequence(self, tokens, include_eos: bool = False,
                        use_unk: bool = False) -> float:
@@ -106,9 +165,11 @@ class NGramModel:
         return total
 
     def perplexity(self, tokens) -> float:
-        """exp(-score / (len + 1)) with the end-of-sentence term included."""
+        """exp(-score / (len + 1)) with the end-of-sentence term included;
+        tokens may be any iterable, an iterator included."""
+        tokens = list(tokens)
         score = self.score_sequence(tokens, include_eos=True)
-        return math.exp(-score / (len(list(tokens)) + 1))
+        return math.exp(-score / (len(tokens) + 1))
 
     def ngrams(self, k: int) -> dict:
         """The raw (logprob, backoff) table for k-grams (natural log)."""

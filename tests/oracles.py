@@ -9,8 +9,13 @@ for bit; reference_am_score is one such alignment per hypothesis, whose
 scores and exceptions aligner.am_scores must reproduce for a whole list;
 reference_prefix_beam_search is the scalar per-(prefix, symbol)
 beam search whose tokens and score bits decoder.prefix_beam_search must
-reproduce.
+reproduce. random_arpa_lm is a seeded sparse backoff model read through
+load_arpa, unlike train_add_one's, which has every n-gram's backoff and
+no gaps.
 """
+import os
+import tempfile
+
 from twopass.aligner import PronGraph, expand_pronunciations
 from twopass.core import (
     MINUS_INF,
@@ -24,7 +29,7 @@ from twopass.core import (
     log_add,
 )
 from twopass.fusion import grid_search, select_weights
-from twopass.ngram import SENTENCE_START
+from twopass.ngram import SENTENCE_END, SENTENCE_START, load_arpa
 
 
 def ctc_label_prob(posteriors: PosteriorMatrix, labels) -> float:
@@ -213,3 +218,55 @@ def reference_prefix_beam_search(posteriors, config, utterance_id="utt"):
         hyps.append(Hypothesis(
             prefix, ScoreBundle(e2e=log_add(p_b, p_nb), lm=s_lm, ilm=s_ilm)))
     return NBestList(utterance_id, tuple(hyps))
+
+
+def random_arpa_lm(rng, tokens, order):
+    """A seeded sparse backoff model over tokens plus <s> and </s>, written
+    as ARPA text and read back with load_arpa.
+
+    About half of the n-grams one order down are contexts with explicit
+    children, each with about half of the vocabulary; an n-gram below the
+    top order has a backoff weight about two times in three, and a weight
+    can exceed one. Log10 values are drawn in [-3, 0), except -0.0 for the
+    first token's unigram and for the first child of each context that
+    starts with that token. A child outside the vocabulary, which
+    load_arpa accepts, is added now and then.
+    """
+    vocab = sorted(set(tokens) | {SENTENCE_START, SENTENCE_END})
+
+    def value():
+        return repr(float(rng.uniform(-3.0, 0.0)))
+
+    def backoff(k):
+        if k == order or rng.random() < 1 / 3:
+            return ""
+        return "\t" + repr(float(rng.uniform(-2.0, 0.5)))
+
+    sections = [[("-0.0" if i == 0 else value()) + "\t" + tok + backoff(1)
+                 for i, tok in enumerate(vocab)]]
+    contexts = [(tok,) for tok in vocab]
+    for k in range(2, order + 1):
+        lines, grams = [], []
+        for ctx in contexts:
+            if rng.random() < 0.5:
+                continue
+            children = [tok for tok in vocab if rng.random() < 0.5]
+            if rng.random() < 0.2:
+                children.append("oov-" + ctx[-1])
+            for j, tok in enumerate(children):
+                gram = ctx + (tok,)
+                logp = "-0.0" if j == 0 and ctx[0] == vocab[0] else value()
+                lines.append(logp + "\t" + " ".join(gram) + backoff(k))
+                grams.append(gram)
+        sections.append(lines)
+        contexts = grams
+    text = ["\\data\\"] + ["ngram %d=%d" % (k, len(lines))
+                              for k, lines in enumerate(sections, start=1)]
+    for k, lines in enumerate(sections, start=1):
+        text += ["", "\\%d-grams:" % k] + lines
+    text += ["", "\\end\\", ""]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sparse.arpa")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(text))
+        return load_arpa(path)

@@ -4,6 +4,7 @@ Most commands are driven in-process through cli.main for speed; one test
 runs the installed module via a real subprocess to cover the entry point.
 Exit code contract: 0 ok, 1 usage problems, 2 broken or missing data.
 """
+import math
 import random
 import struct
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from twopass import cli, core
-from twopass.ngram import train_add_one, write_arpa
+from twopass.ngram import SENTENCE_START, load_arpa, train_add_one, write_arpa
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
@@ -41,13 +42,19 @@ def vocab_of(workdir):
     return core.load_vocabulary(str(workdir / "data" / "wordpieces.txt"))
 
 
-def arpa_with_logprobs(workdir, name, path, log10):
+def arpa_with_logprobs(workdir, name, path, log10, bow10=None):
     """The workdir's ARPA model name with every log10 probability set to
-    log10."""
-    lines = (workdir / "data" / name).read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(
-        log10 + line[line.index("\t"):] if line.startswith("-") else line
-        for line in lines) + "\n", encoding="utf-8")
+    log10 and, if bow10 is given, every backoff weight it lists to bow10."""
+    lines = []
+    for line in (workdir / "data" / name).read_text(encoding="utf-8").splitlines():
+        if line.startswith("-"):
+            fields = line.split("\t")
+            fields[0] = log10
+            if bow10 is not None and len(fields) == 3:
+                fields[2] = bow10
+            line = "\t".join(fields)
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -182,6 +189,27 @@ class TestDecode:
         what = "external" if model == "lm" else "internal"
         assert only_error_line(capsys.readouterr().err).startswith(
             "twopass: %s: %s LM total overflows float64 in dev-" % (arpa, what))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lm_row_that_overflows_is_data_error(self, workdir, tmp_path,
+                                                 capsys, jobs):
+        # a backoff weight plus a log-prob is -inf (-1.15e308 each in
+        # natural log), so the <s> row already holds -inf entries; filling
+        # it must not print NumPy's overflow warning
+        arpa = arpa_with_logprobs(workdir, "wordpiece_lm.arpa",
+                                  tmp_path / "big.arpa", "-5e307", "-5e307")
+        symbols = vocab_of(workdir).symbols[1:]
+        assert -math.inf in [load_arpa(arpa).conditional((SENTENCE_START,), s)
+                             for s in symbols]
+        out = tmp_path / "x.nbest"
+        assert cli.main([
+            "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--lm", str(arpa), "--lambda-lm", "0.5",
+            "--jobs", jobs, "--out", str(out)]) == 2
+        assert only_error_line(capsys.readouterr().err).startswith(
+            "twopass: %s: external LM total overflows float64 in dev-" % arpa)
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

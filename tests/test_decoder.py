@@ -29,7 +29,7 @@ from twopass.core import (
 from twopass.decoder import BeamConfig, prefix_beam_search
 from twopass.ngram import train_add_one
 
-from oracles import ctc_label_prob, reference_prefix_beam_search
+from oracles import ctc_label_prob, random_arpa_lm, reference_prefix_beam_search
 
 WIDE = 4096  # beam wide enough that nothing is ever pruned in these tests
 
@@ -369,6 +369,13 @@ class TestMatchesReferenceLoop:
                              weights=FusionWeights(0.0, 0.0, 0.3), ilm=ilm)
             yield BeamConfig(beam_width=1, n_best=1,
                              weights=FusionWeights(0.0, 0.6, 0.3), lm=lm, ilm=ilm)
+        # train_add_one gives every context a backoff weight and no gaps;
+        # an ARPA model can lack both, and has -0.0 log-probs
+        pieces = vocab.symbols[1:]
+        yield BeamConfig(beam_width=width, n_best=n_best,
+                         weights=FusionWeights(0.0, 0.6, 0.3),
+                         lm=random_arpa_lm(rng, pieces, 3),
+                         ilm=random_arpa_lm(rng, pieces, 2))
 
     def test_pruned_random_inputs(self):
         rng = np.random.default_rng(6150)

@@ -17,6 +17,7 @@ which the sum tests below check through the public API.
 """
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from twopass.ngram import (
     train_add_one,
     write_arpa,
 )
+
+from oracles import random_arpa_lm
 
 TOY_ARPA = os.path.join(os.path.dirname(__file__), "data", "toy_bigram.arpa")
 
@@ -114,6 +117,14 @@ class TestToyModelScoring:
         expected = math.exp(-(nat(L_SA) + nat(L_AE)) / 2.0)
         np.testing.assert_allclose(self.model.perplexity(["a"]), expected,
                                    atol=1e-9)
+
+    def test_perplexity_of_an_iterator(self):
+        # the tokens are read once: 3 events, not the 1 an emptied iterator
+        # would leave
+        score = self.model.score_sequence(["a", "b"], include_eos=True)
+        assert self.model.perplexity(iter(["a", "b"])) == math.exp(-score / 3)
+        assert self.model.perplexity(iter(["a", "b"])) \
+            == self.model.perplexity(["a", "b"])
 
     def test_oov_strict(self):
         with pytest.raises(OOVError):
@@ -326,6 +337,10 @@ class TestConditionalRow:
     SENTS = [["x", "y"], ["y", "x", "x"], ["x"], ["z", "y", "x"]]
     TOKENS = ("x", "y", "z", SENTENCE_END)
 
+    @staticmethod
+    def _hex(values):
+        return [float.hex(v) for v in values]
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_entries_equal_conditional(self, order):
         model = train_add_one(self.SENTS, order=order)
@@ -333,8 +348,50 @@ class TestConditionalRow:
                     ("z", "y"), ("y", "x", "x"), ("x", "z", "z", "y")]:
             row = model.conditional_row(ctx, self.TOKENS)
             assert row.dtype == np.float64 and row.shape == (len(self.TOKENS),)
-            for value, tok in zip(row.tolist(), self.TOKENS):
-                assert value == model.conditional(ctx, tok), (ctx, tok)
+            assert self._hex(row.tolist()) == self._hex(
+                model.conditional(ctx, tok) for tok in self.TOKENS), ctx
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_sparse_arpa_rows_have_conditional_bits(self, order):
+        # Most contexts have no children or no backoff weight of their own,
+        # and the states below add contexts the model never saw.
+        rng = np.random.default_rng(8100 + order)
+        for _ in range(4):
+            pieces = ["p%d" % i for i in range(int(rng.integers(3, 9)))]
+            model = random_arpa_lm(rng, pieces, order)
+            vocab = sorted(model.vocab)
+            states = {()} | {gram for k in range(1, order + 1)
+                             for gram in model.ngrams(k)}
+            states |= {tuple(map(str, rng.choice(vocab + ["unseen"], size)))
+                       for size in rng.integers(1, order + 2, 40)}
+            tokens = tuple(vocab) + tuple(map(str, rng.choice(vocab, len(vocab))))
+            zero_seen = False
+            for ctx in sorted(states):
+                row = model.conditional_row(ctx, tokens).tolist()
+                want = [model.conditional(ctx, tok) for tok in tokens]
+                assert self._hex(row) == self._hex(want), ctx
+                zero_seen |= float.hex(0.0) in self._hex(want)
+            assert zero_seen  # a -0.0 log-prob reads 0.0, as conditional says
+
+    def test_overflowing_backoff_total_is_minus_inf_silently(self, tmp_path):
+        # -5e307 is -1.15e308 in natural log: each value is finite, and a
+        # backoff weight plus a log-prob overflows to -inf.
+        path = tmp_path / "big.arpa"
+        path.write_text("\n".join([
+            "\\data\\", "ngram 1=4", "ngram 2=1", "", "\\1-grams:",
+            "-5e307\t<s>\t-5e307", "-5e307\tx\t-5e307", "-5e307\ty\t-5e307",
+            "-5e307\t</s>", "", "\\2-grams:", "-5e307\tx y", "", "\\end\\", ""]),
+            encoding="utf-8")
+        model = load_arpa(path)
+        tokens = ("x", "y", SENTENCE_END)
+        for ctx in [(), (SENTENCE_START,), ("x",), ("y",), (SENTENCE_END,)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                row = model.conditional_row(ctx, tokens).tolist()
+            assert self._hex(row) == self._hex(
+                model.conditional(ctx, tok) for tok in tokens), ctx
+        assert model.conditional_row(("x",), tokens).tolist() == [
+            -math.inf, -5e307 * LN10, -math.inf]
 
     def test_memoised_per_state_and_read_only(self):
         model = train_add_one(self.SENTS, order=2)
@@ -344,7 +401,7 @@ class TestConditionalRow:
         with pytest.raises(ValueError):
             row[0] = 0.0
 
-    def test_subclass_conditional_fills_the_row(self):
+    def test_subclass_overriding_conditional_gets_the_same_row_bits(self):
         calls = []
 
         class Recording(NGramModel):
@@ -354,9 +411,10 @@ class TestConditionalRow:
 
         base = train_add_one(self.SENTS, order=3)
         model = Recording(3, [base.ngrams(k) for k in (1, 2, 3)])
-        model.conditional_row(("z", SENTENCE_START, "x"), self.TOKENS)
-        model.conditional_row(("y", SENTENCE_START, "x"), self.TOKENS)
-        assert calls == [((SENTENCE_START, "x"), tok) for tok in self.TOKENS]
+        for ctx in [(), ("z", SENTENCE_START, "x"), ("y", "x"), ("q", "z")]:
+            assert self._hex(model.conditional_row(ctx, self.TOKENS).tolist()) \
+                == self._hex(base.conditional_row(ctx, self.TOKENS).tolist())
+        assert calls == []  # a row fill reads the tables, not conditional
 
     def test_oov_token_raises(self):
         model = train_add_one(self.SENTS, order=2)
