@@ -8,18 +8,26 @@ log-priors are charged once, on entering the first phoneme; silence carries
 prior log 1. The alignment score is the sum of frame log-posteriors plus the
 charged priors, maximized over pronunciation choices and segmentations.
 
-am_scores scores an N-best list in one score-only Viterbi pass over a
-word-prefix trie of the list's word sequences, the tree lexicon of Ney &
-Ortmanns (IEEE SPM 1999): hypotheses that share a word prefix share its
-states, because a state's value depends only on the states before it. The
-pass gives each hypothesis the score viterbi_align gives its own graph, bit
-for bit. Every state value comes from the same float64 additions as the
-scalar recursion (predecessor + charge, then + emission), and max does not
+One array recursion, _viterbi, serves both scorers. The predecessors of
+every state are packed into K slots, padded with a sentinel state that
+stays -inf, and each frame's values are written over that frame's gathered
+emission row, so a pass keeps one T x states array. am_scores scores an
+N-best list in one pass over a word-prefix trie of the list's word
+sequences, the tree lexicon of Ney & Ortmanns (IEEE SPM 1999): hypotheses
+that share a word prefix share its states, because a state's value depends
+only on the states before it; each reads its best final from the last row.
+viterbi_align runs the pass over one word sequence's graph, picks the best
+final (the smallest final state among ties) and backtraces, re-deriving
+each frame's winner from the stored row by the scalar rule: the self-loop
+first, then a strict > over the predecessors in order.
+
+Both give the scalar frame x state x predecessor recursion's scores and
+alignments bit for bit. Every state value comes from the same float64
+additions (predecessor + charge, then + emission), and max does not
 depend on the order of its operands: posteriors are finite, so no NaN
 enters, and no state value is ever -0.0 (each is a sum that starts from a
 finite entry charge, and x + y is -0.0 only when both are), so equal values
-have equal bits. viterbi_align, which also backtraces the alignment, is the
-single-sequence recursion that tests and the benchmark replay.
+have equal bits.
 """
 from __future__ import annotations
 
@@ -31,7 +39,6 @@ import numpy as np
 from .core import (
     MINUS_INF,
     AlignmentError,
-    Hypothesis,
     Lexicon,
     OOVError,
     PosteriorMatrix,
@@ -159,42 +166,6 @@ class _WordTrie:
             node = child
         return node
 
-    def final_delta(self, rows) -> np.ndarray:
-        """Viterbi value of every state after the last frame of rows.
-
-        The predecessors are packed into K slots (K the largest fan-in),
-        padded with a sentinel state that stays -inf, and each frame runs K
-        elementwise maxima over the states; no backtrace is kept.
-        """
-        n_states = len(self.phoneme_ids)
-        ids = np.array(self.phoneme_ids + [0])  # state n_states: the sentinel
-        outside = (ids < 0) | (ids >= rows.shape[1])
-        if outside.any():
-            raise ValueError(
-                "phoneme id %d outside posterior matrix" % ids[outside.argmax()])
-        fan_in = max(map(len, self.preds))
-        pred_ids = [[n_states] * (n_states + 1) for _ in range(fan_in)]
-        charges = [[0.0] * (n_states + 1) for _ in range(fan_in)]
-        for s, preds in enumerate(self.preds):
-            for j, (p, charge) in enumerate(preds):
-                pred_ids[j][s] = p
-                charges[j][s] = charge
-        slots = list(zip(np.array(pred_ids), np.array(charges)))
-        emissions = rows[:, ids]
-        delta = np.full(n_states + 1, MINUS_INF)
-        for s, charge in self.entries:
-            delta[s] = charge + emissions[0, s]
-        best = np.empty_like(delta)
-        cand = np.empty_like(delta)
-        for e in emissions[1:]:
-            np.copyto(best, delta)  # self-loop
-            for p, c in slots:
-                delta.take(p, out=cand)
-                np.add(cand, c, out=cand)
-                np.maximum(best, cand, out=best)
-            np.add(best, e, out=delta)
-        return delta
-
 
 def expand_pronunciations(words, lexicon: Lexicon, allow_silence: bool = False,
                           silence_phoneme: int | None = None) -> PronGraph:
@@ -230,6 +201,45 @@ def _emission_rows(posteriors: PosteriorMatrix, log_prior_shift) -> np.ndarray:
     return rows
 
 
+def _viterbi(phoneme_ids, preds, entries, rows) -> np.ndarray:
+    """The T x (states + 1) Viterbi values after each frame of rows, written
+    over the gathered emission rows; the last column is the -inf sentinel.
+
+    K slots (the largest fan-in, at least 1) hold each state's predecessors,
+    padded with the sentinel at charge 0. A frame is one take of the slots,
+    an add of their charges, a max over them, a maximum with the self-loop
+    and an add into the frame's emission row.
+    """
+    n_states = len(phoneme_ids)
+    ids = np.array(list(phoneme_ids) + [0])  # state n_states: the sentinel
+    outside = (ids < 0) | (ids >= rows.shape[1])
+    if outside.any():
+        raise ValueError(
+            "phoneme id %d outside posterior matrix" % ids[outside.argmax()])
+    fan_in = max([1, *map(len, preds)])
+    pred_ids = [[n_states] * (n_states + 1) for _ in range(fan_in)]
+    charges = [[0.0] * (n_states + 1) for _ in range(fan_in)]
+    for s, state_preds in enumerate(preds):
+        for j, (p, charge) in enumerate(state_preds):
+            pred_ids[j][s] = p
+            charges[j][s] = charge
+    pred_ids, charges = np.array(pred_ids), np.array(charges)
+    delta = rows[:, ids]
+    first = np.full(n_states + 1, MINUS_INF)
+    for s, charge in entries:
+        first[s] = max(first[s], charge + delta[0, s])
+    delta[0] = first
+    cand = np.empty(charges.shape)
+    best = np.empty(n_states + 1)
+    for prev, row in zip(delta, delta[1:]):
+        prev.take(pred_ids, out=cand, mode="clip")  # ids are in range; unbuffered
+        np.add(cand, charges, out=cand)
+        cand.max(axis=0, out=best)
+        np.maximum(best, prev, out=best)  # self-loop
+        np.add(row, best, out=row)
+    return delta
+
+
 def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
                   log_prior_shift=None) -> tuple[float, tuple[int, ...]]:
     """Best-path alignment of all T frames through the graph.
@@ -238,56 +248,30 @@ def viterbi_align(posteriors: PosteriorMatrix, graph: PronGraph,
     path occupies at least one frame and all frames are consumed. Raises
     AlignmentError when T is smaller than the shortest pronunciation path.
     log_prior_shift (per-phoneme log-priors, optional) is subtracted from
-    every frame row before scoring.
+    every frame row before scoring. Ties go to the smallest final state,
+    and at each frame to the self-loop, then to the earliest predecessor.
     """
-    n_states = len(graph.phoneme_ids)
     for ph in graph.phoneme_ids:
         if not (0 <= ph < posteriors.symbols):
             raise ValueError("phoneme id %d outside posterior matrix" % ph)
     if posteriors.frames < graph.min_path_states():
         raise AlignmentError("utterance too short to align")
-
-    rows = _emission_rows(posteriors, log_prior_shift)
-    # emissions[t][s]: the frame-t log-score of state s, as Python floats.
-    emissions = rows[:, list(graph.phoneme_ids)].tolist()
-    delta = [MINUS_INF] * n_states
-    e = emissions[0]
-    for s, charge in graph.entries:
-        cand = charge + e[s]
-        if cand > delta[s]:
-            delta[s] = cand
-    back: list[list[int]] = []
-    for e in emissions[1:]:
-        nxt = [MINUS_INF] * n_states
-        bp = [-1] * n_states
-        for s, preds in enumerate(graph.preds):
-            best = delta[s]  # self-loop
-            best_p = s
-            for p, charge in preds:
-                cand = delta[p] + charge
-                if cand > best:
-                    best = cand
-                    best_p = p
-            if best != MINUS_INF:
-                nxt[s] = best + e[s]
-                bp[s] = best_p
-        delta = nxt
-        back.append(bp)
-
-    best_final = None
-    best_score = MINUS_INF
-    for s in sorted(graph.finals):
-        if delta[s] > best_score:
-            best_score = delta[s]
-            best_final = s
-    if best_final is None or best_score == MINUS_INF:
+    delta = _viterbi(graph.phoneme_ids, graph.preds, graph.entries,
+                     _emission_rows(posteriors, log_prior_shift))
+    state = max(sorted(graph.finals), key=delta[-1].__getitem__)
+    score = float(delta[-1, state])
+    if score == MINUS_INF:
         raise AlignmentError("utterance too short to align")
-    states = [best_final]
-    for bp in reversed(back):
-        states.append(bp[states[-1]])
+    states = [state]
+    for prev in delta[-2::-1]:
+        s = states[-1]
+        best, winner = prev[s], s  # self-loop
+        for p, charge in graph.preds[s]:
+            if prev[p] + charge > best:
+                best, winner = prev[p] + charge, p
+        states.append(winner)
     states.reverse()
-    alignment = tuple(graph.phoneme_ids[s] for s in states)
-    return float(best_score), alignment
+    return score, tuple(graph.phoneme_ids[s] for s in states)
 
 
 def am_scores(hypotheses, posteriors: PosteriorMatrix, lexicon: Lexicon,
@@ -321,14 +305,7 @@ def am_scores(hypotheses, posteriors: PosteriorMatrix, lexicon: Lexicon,
         finals.append(trie.frontiers[node])
     if all(ends is None for ends in finals):
         return [floor] * len(finals)
-    delta = trie.final_delta(_emission_rows(posteriors, options.phoneme_log_priors))
-    return [floor if ends is None else max(delta[list(ends)].tolist())
+    last = _viterbi(trie.phoneme_ids, trie.preds, trie.entries,
+                    _emission_rows(posteriors, options.phoneme_log_priors))[-1]
+    return [floor if ends is None else max(last[list(ends)].tolist())
             for ends in finals]
-
-
-def am_score(hypothesis: Hypothesis, posteriors: PosteriorMatrix,
-             lexicon: Lexicon, vocab: Vocabulary,
-             options: AlignOptions = AlignOptions()) -> float:
-    """Acoustic log-score of one hypothesis via forced alignment (am_scores
-    of a one-hypothesis list)."""
-    return am_scores([hypothesis], posteriors, lexicon, vocab, options)[0]

@@ -494,7 +494,10 @@ def _cmd_buckets(args) -> int:
         fused_top = _by_id(fused, utt, "hypotheses").top().tokens
         corpus.append((ref, core.detokenize(base_top, vocab),
                        core.detokenize(fused_top, vocab)))
-    stats = metrics.ppl_buckets(corpus, bucket_lm, args.k, vocab)
+    try:
+        stats = metrics.ppl_buckets(corpus, bucket_lm, args.k, vocab)
+    except OverflowError as exc:
+        raise FormatError("%s: %s" % (args.lm, exc)) from None
     core.write_lines(args.report, (
         "%d\t%.4f\t%.4f\t%.4f\t%.4f" % (
             s.bucket, s.mean_ppl, s.baseline_wer, s.fused_wer, s.werr)

@@ -8,6 +8,7 @@ counts before dividing. Words are compared only in wer, after normalize
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import NBestList, Vocabulary, detokenize, tokenize
@@ -139,6 +140,7 @@ def ppl_buckets(corpus, bucket_lm: NGramModel, k: int,
     scored with bucket_lm; utterances are sorted by perplexity ascending and
     split into k contiguous buckets, the first (n mod k) buckets taking one
     extra item. A bucket with zero baseline WER reports a WERR of 0.0.
+    OverflowError if a perplexity, or a bucket's mean of them, overflows.
     """
     corpus = list(corpus)
     if k < 1:
@@ -160,6 +162,8 @@ def ppl_buckets(corpus, bucket_lm: NGramModel, k: int,
         chunk = scored[pos:pos + size]
         pos += size
         mean_ppl = sum(item[0] for item in chunk) / size
+        if mean_ppl == math.inf:
+            raise OverflowError("mean perplexity of bucket %d overflows float64" % b)
         base_counts = corpus_counts((ref, hyp) for _, ref, hyp, _ in chunk)
         fused_counts = corpus_counts((ref, hyp) for _, ref, _, hyp in chunk)
         b_wer = base_counts.wer

@@ -166,10 +166,18 @@ class NGramModel:
 
     def perplexity(self, tokens) -> float:
         """exp(-score / (len + 1)) with the end-of-sentence term included;
-        tokens may be any iterable, an iterator included."""
+        tokens may be any iterable, an iterator included. OverflowError if
+        the perplexity is not finite."""
         tokens = list(tokens)
         score = self.score_sequence(tokens, include_eos=True)
-        return math.exp(-score / (len(tokens) + 1))
+        try:
+            ppl = math.exp(-score / (len(tokens) + 1))
+        except OverflowError:
+            ppl = math.inf
+        if not math.isfinite(ppl):
+            raise OverflowError("perplexity of %d tokens overflows float64 "
+                                "(log-prob %r)" % (len(tokens), score))
+        return ppl
 
     def ngrams(self, k: int) -> dict:
         """The raw (logprob, backoff) table for k-grams (natural log)."""

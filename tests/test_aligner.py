@@ -19,7 +19,6 @@ import pytest
 from twopass.aligner import (
     AlignOptions,
     DEFAULT_FLOOR_LOG_PROB,
-    am_score,
     am_scores,
     expand_pronunciations,
     viterbi_align,
@@ -422,51 +421,51 @@ class TestAmScore:
         g = expand_pronunciations(["go"], self.LEX)
         expected, _ = viterbi_align(m, g)
         np.testing.assert_allclose(
-            am_score(hyp([1]), m, self.LEX, WP), expected, atol=1e-12)
+            am_scores([hyp([1])], m, self.LEX, WP)[0], expected, atol=1e-12)
 
     def test_oov_word_strict_raises(self):
         rng = np.random.default_rng(12)
         m = random_matrix(rng, 3)
         # "gop" detokenizes fine but is not in the lexicon
         with pytest.raises(OOVError):
-            am_score(hyp([1, 3]), m, self.LEX, WP)
+            am_scores([hyp([1, 3])], m, self.LEX, WP)[0]
 
     def test_oov_word_floor_scores(self):
         rng = np.random.default_rng(13)
         m = random_matrix(rng, 3)
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_score(hyp([1, 3]), m, self.LEX, WP, opts),
+            am_scores([hyp([1, 3])], m, self.LEX, WP, opts)[0],
             3 * DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
     def test_dangling_continuation_follows_policy(self):
         rng = np.random.default_rng(14)
         m = random_matrix(rng, 3)
         with pytest.raises(AlignmentError):
-            am_score(hyp([3]), m, self.LEX, WP)
+            am_scores([hyp([3])], m, self.LEX, WP)[0]
         opts = AlignOptions(oov_policy="floor", floor_log_prob=math.log(0.5))
         np.testing.assert_allclose(
-            am_score(hyp([3]), m, self.LEX, WP, opts),
+            am_scores([hyp([3])], m, self.LEX, WP, opts)[0],
             3 * math.log(0.5), atol=1e-12)
 
     def test_empty_hypothesis_follows_policy(self):
         rng = np.random.default_rng(15)
         m = random_matrix(rng, 2)
         with pytest.raises(AlignmentError):
-            am_score(hyp([]), m, self.LEX, WP)
+            am_scores([hyp([])], m, self.LEX, WP)[0]
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_score(hyp([]), m, self.LEX, WP, opts),
+            am_scores([hyp([])], m, self.LEX, WP, opts)[0],
             2 * DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
     def test_too_short_follows_policy(self):
         rng = np.random.default_rng(16)
         m = random_matrix(rng, 1)
         with pytest.raises(AlignmentError):
-            am_score(hyp([1]), m, self.LEX, WP)  # "go" needs 2 frames
+            am_scores([hyp([1])], m, self.LEX, WP)[0]  # "go" needs 2 frames
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_score(hyp([1]), m, self.LEX, WP, opts),
+            am_scores([hyp([1])], m, self.LEX, WP, opts)[0],
             DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
 

@@ -726,6 +726,30 @@ class TestTuneScoreBuckets:
             ppls.append(float(mean_ppl))
         assert ppls == sorted(ppls)
 
+    @pytest.mark.parametrize("log10, bow10", [("-400.0", None),
+                                              ("-5e307", "-5e307"),
+                                              ("-308.2", "0")])
+    def test_perplexity_that_overflows_is_data_error(self, workdir, rescored,
+                                                     tmp_path, capsys,
+                                                     log10, bow10):
+        # valid models: -400.0 makes math.exp overflow; -5e307 sums to -inf,
+        # an inf perplexity; -308.2 with unit backoffs gives perplexities of
+        # e^709.66, finite, whose bucket mean is inf
+        data = workdir / "data"
+        lm = arpa_with_logprobs(workdir, "wordpiece_lm.arpa",
+                                tmp_path / "tiny.arpa", log10, bow10)
+        report = tmp_path / "buckets.tsv"
+        assert cli.main([
+            "buckets", "--ref", str(data / "dev.tsv"),
+            "--baseline-nbest", str(workdir / "dev.nbest"),
+            "--fused-nbest", str(rescored),
+            "--vocab", str(data / "wordpieces.txt"),
+            "--lm", str(lm), "--k", "2", "--report", str(report)]) == 2
+        line = only_error_line(capsys.readouterr().err)
+        assert line.startswith("twopass: %s: " % lm)
+        assert "perplexity of " in line and "overflows float64" in line
+        assert not report.exists()
+
     def test_more_buckets_than_utts_is_data_error(self, workdir, rescored,
                                                   tmp_path):
         data = workdir / "data"

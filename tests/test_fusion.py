@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twopass import fusion
-from twopass.aligner import AlignOptions, am_score
+from twopass.aligner import AlignOptions, am_scores
 from twopass.core import (
     BLANK,
     DanglingTokenError,
@@ -176,7 +176,7 @@ class TestRescoreNBest:
         out = rescore_nbest(nbest, m, LEX, WP, FusionWeights(), opts)
         for h in out.hypotheses:
             np.testing.assert_allclose(
-                h.scores.am, am_score(h, m, LEX, WP, opts), atol=1e-12)
+                h.scores.am, am_scores([h], m, LEX, WP, opts)[0], atol=1e-12)
 
 
 class TestScoreWithWordLm:

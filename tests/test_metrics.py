@@ -21,7 +21,7 @@ from twopass.metrics import (
     wer,
     werr,
 )
-from twopass.ngram import train_add_one
+from twopass.ngram import load_arpa, train_add_one
 
 
 class TestNormalize:
@@ -261,6 +261,20 @@ class TestPplBuckets:
         np.testing.assert_allclose(s.baseline_wer, 0.5, atol=1e-15)
         np.testing.assert_allclose(s.fused_wer, 0.0, atol=1e-15)
         np.testing.assert_allclose(s.werr, 1.0, atol=1e-15)
+
+    def test_mean_perplexity_that_overflows_raises(self, tmp_path):
+        # -308.2 per term: each perplexity is e^709.66, finite, and two of
+        # them sum to inf
+        path = tmp_path / "huge.arpa"
+        path.write_text("\n".join([
+            "\\data\\", "ngram 1=3", "", "\\1-grams:", "-308.2\t<s>",
+            "-308.2\t▁x", "-308.2\t</s>", "", "\\end\\", ""]),
+            encoding="utf-8")
+        lm = load_arpa(path)
+        assert math.isfinite(lm.perplexity(["▁x"]))
+        corpus = [(("x",), ("x",), ("x",))] * 2
+        with pytest.raises(OverflowError, match="mean perplexity of bucket 0"):
+            ppl_buckets(corpus, lm, 1, WP)
 
     def test_validation(self):
         lm = _bucket_lm()

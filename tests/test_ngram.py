@@ -126,6 +126,18 @@ class TestToyModelScoring:
         assert self.model.perplexity(iter(["a", "b"])) \
             == self.model.perplexity(["a", "b"])
 
+    @pytest.mark.parametrize("log10", ["-400", "-5e307"])
+    def test_perplexity_that_overflows_raises(self, tmp_path, log10):
+        # -400 per term gives exp(921) (math.exp raises); -5e307 per term is
+        # finite, but the two terms sum to -inf (the perplexity would be inf)
+        path = tmp_path / "tiny.arpa"
+        path.write_text("\n".join([
+            "\\data\\", "ngram 1=3", "", "\\1-grams:", log10 + "\t<s>",
+            log10 + "\tx", log10 + "\t</s>", "", "\\end\\", ""]),
+            encoding="utf-8")
+        with pytest.raises(OverflowError, match="perplexity of 1 tokens"):
+            load_arpa(path).perplexity(["x"])
+
     def test_oov_strict(self):
         with pytest.raises(OOVError):
             self.model.score_sequence(["z"])
