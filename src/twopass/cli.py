@@ -20,7 +20,7 @@ import sys
 
 from . import core, fusion, metrics, synth
 from .aligner import AlignOptions
-from .decoder import BeamConfig, prefix_beam_search
+from .decoder import BeamConfig, batch_size, decode_batch
 from .core import FormatError, FusionWeights, ToolkitError
 from .ngram import load_arpa, train_add_one, write_arpa
 
@@ -305,19 +305,29 @@ def _install_state(state: dict) -> None:
     _WORKER_STATE.update(state)
 
 
-def _decode_task(task):
-    utt, path = task
-    matrix = core.load_posteriors(path, _WORKER_STATE["vocab"])
-    return prefix_beam_search(matrix, _WORKER_STATE["config"], utterance_id=utt)
+def _decode_task(chunk):
+    """N-best lists of a chunk of (utterance, path) pairs, in list order. When
+    a file fails to load, the utterances before it are decoded first, so an
+    earlier utterance's error is the one raised."""
+    vocab, config = _WORKER_STATE["vocab"], _WORKER_STATE["config"]
+    utts = [utt for utt, _ in chunk]
+    matrices = []
+    try:
+        for _, path in chunk:
+            matrices.append(core.load_posteriors(path, vocab))
+    except (ToolkitError, OSError, ValueError):
+        decode_batch(matrices, config, utts)
+        raise
+    return decode_batch(matrices, config, utts)
 
 
-def _run_pool(tasks, worker, state, jobs):
+def _run_pool(tasks, worker, state, jobs, chunksize=8):
     """worker over tasks in order, with state installed in every process."""
     if jobs <= 1:
         _install_state(state)
         return [worker(task) for task in tasks]
     with multiprocessing.Pool(jobs, initializer=_install_state, initargs=(state,)) as pool:
-        return list(pool.imap(worker, tasks, chunksize=8))
+        return list(pool.imap(worker, tasks, chunksize=chunksize))
 
 
 def _cmd_decode(args) -> int:
@@ -340,12 +350,15 @@ def _cmd_decode(args) -> int:
         if utt is None:
             utt = os.path.splitext(os.path.basename(args.posteriors))[0]
         tasks = [(utt, args.posteriors)]
+    size = batch_size(config, len(vocab))
+    chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     try:
-        results = _run_pool(
-            tasks, _decode_task, {"vocab": vocab, "config": config}, args.jobs)
+        decoded = _run_pool(
+            chunks, _decode_task, {"vocab": vocab, "config": config}, args.jobs, 1)
     except OverflowError as exc:
         path = args.lm if str(exc).startswith("external") else args.ilm
         raise FormatError("%s: %s" % (path, exc)) from None
+    results = [nbest for chunk in decoded for nbest in chunk]
     core.write_nbest(results, vocab, args.out)
     log.info("decoded %d utterances -> %s", len(results), args.out)
     return 0

@@ -77,6 +77,23 @@ def log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+def log_add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log_add elementwise over two same-shape float64 arrays, with its bits.
+
+    Where either is -inf the result is the other, which is the larger;
+    elsewhere it is max + log1p(exp(min - max)), with math's exp and log1p
+    mapped over a list: NumPy's exp is not libm's on every machine, and
+    rounds differently.
+    """
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    both = (lo != MINUS_INF).nonzero()
+    with np.errstate(over="ignore"):  # a gap past -1.8e308 is -inf, as in Python
+        gaps = (lo[both] - hi[both]).tolist()
+    hi[both] += np.fromiter(map(math.log1p, map(math.exp, gaps)), float, len(gaps))
+    return hi
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Immutable ordered symbol table mapping ids to unique non-empty strings."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twopass import cli, core
+from twopass import cli, core, decoder
 from twopass.ngram import SENTENCE_START, load_arpa, train_add_one, write_arpa
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
@@ -119,6 +119,19 @@ class TestDecode:
             "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
             "--vocab", str(workdir / "data" / "wordpieces.txt"),
             "--beam", "8", "--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == (workdir / "dev.nbest").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_chunks_of_a_list_decode_as_one(self, workdir, tmp_path,
+                                            monkeypatch, jobs):
+        # chunks of two utterances: three chunks for the six of dev
+        symbols = len(vocab_of(workdir))
+        monkeypatch.setattr(decoder, "BATCH_CELLS", 2 * 8 * symbols)
+        out = tmp_path / "chunks.nbest"
+        assert cli.main([
+            "decode", "--list", str(workdir / "data" / "dev_e2e.list"),
+            "--vocab", str(workdir / "data" / "wordpieces.txt"),
+            "--beam", "8", "--jobs", jobs, "--out", str(out)]) == 0
         assert out.read_bytes() == (workdir / "dev.nbest").read_bytes()
 
     def test_single_file_mode_uses_stem_as_utt_id(self, workdir, tmp_path):
@@ -250,6 +263,137 @@ class TestDecode:
             tokens = [h.tokens for h in nbest.hypotheses]
             assert tokens[0] == ()
             assert tokens[1:] == sorted(tokens[1:])
+
+
+class TestDecodeErrorOrder:
+    """A --list decode raises the first failing utterance's error in list
+    order, whatever the frame each utterance fails at and whatever the
+    fault, although the utterances of a chunk are searched together.
+
+    Hand-made bigram models over <blank> a b c d, fused at weight 2. A
+    backoff weight of log10 +5e307 makes every conditional after its token
+    about +1.15e308: finite, and so is every single token's total, but two
+    such terms sum to +inf. Both models have one on c, so an extension of
+    a live c fuses to 2 x LM - 2 x ILM = +inf - +inf, a NaN. The LM also
+    has one on a and b: an extension of a live a fuses to +inf, so a b is
+    kept, and one frame later its LM total plus the b row overflows. Beam
+    2 keeps only the empty prefix and one token alive in a frame where
+    blank has 0.9 of the mass, so the posteriors decide which frame each
+    utterance fails at.
+    """
+
+    SYMBOLS = ("<blank>", "▁a", "▁b", "▁c", "▁d")
+
+    def _arpa(self, path, huge):
+        unigrams = ["-1.0\t</s>", "-99.0\t<s>\t-0.3"] + [
+            "-1.0\t%s\t%s" % (s, "5e307" if s in huge else "-0.3")
+            for s in self.SYMBOLS[1:]]
+        path.write_text("\n".join(
+            ["\\data\\", "ngram 1=%d" % len(unigrams), "ngram 2=1", "",
+             "\\1-grams:", *unigrams, "", "\\2-grams:", "-0.5\t<s> ▁d", "",
+             "\\end\\", ""]), encoding="utf-8")
+        return str(path)
+
+    def _utterance(self, tmp_path, name, peaks):
+        """A matrix whose frame t gives 0.9 to blank and the rest to
+        peaks[t]'s symbol, mostly, or 0.9 to that symbol if it is
+        upper-case."""
+        vocab = core.Vocabulary(self.SYMBOLS)
+        rows = []
+        for peak in peaks:
+            probs = np.full(len(self.SYMBOLS), 0.01)
+            column = self.SYMBOLS.index("▁" + peak.lower())
+            if peak.isupper():
+                probs[column] = 0.9
+                probs[0] = 0.07
+            else:
+                probs[0] = 0.9
+                probs[column] = 0.07
+            rows.append(np.log(probs / probs.sum()))
+        path = tmp_path / (name + ".fpm")
+        core.write_posteriors(
+            core.PosteriorMatrix(np.array(rows, dtype=np.float32), vocab), str(path))
+        return str(path)
+
+    def _decode(self, tmp_path, entries, jobs):
+        core.save_vocabulary(core.Vocabulary(self.SYMBOLS), str(tmp_path / "v.txt"))
+        core.write_manifest(entries, str(tmp_path / "e.list"))
+        lm = self._arpa(tmp_path / "lm.arpa", ("▁a", "▁b", "▁c"))
+        ilm = self._arpa(tmp_path / "ilm.arpa", ("▁c",))
+        out = tmp_path / "x.nbest"
+        code = cli.main([
+            "decode", "--list", str(tmp_path / "e.list"),
+            "--vocab", str(tmp_path / "v.txt"), "--beam", "2",
+            "--lm", lm, "--lambda-lm", "2", "--ilm", ilm, "--lambda-ilm", "2",
+            "--jobs", jobs, "--out", str(out)])
+        assert not out.exists()
+        return code, lm
+
+    def _fine(self, tmp_path, name):
+        return name, self._utterance(tmp_path, name, "ddddd")
+
+    def _overflows_late(self, tmp_path, name):
+        # a live at frame 2, a b at 3; the LM sum overflows at frame 4
+        return name, self._utterance(tmp_path, name, "ddAdd")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_earlier_utterance_overflowing_later_wins(self, tmp_path, capsys, jobs):
+        # u3 overflows at frame 2 (a live at frame 0), before u2's frame 4
+        code, lm = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"), self._overflows_late(tmp_path, "u2"),
+            ("u3", self._utterance(tmp_path, "u3", "Addd"))], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: external LM total overflows float64 in u2" % lm)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflow_before_malformed_posteriors_wins(self, tmp_path, capsys, jobs):
+        bad = tmp_path / "bad.fpm"
+        bad.write_bytes(b"FPM1" + struct.pack("<II", 1, len(self.SYMBOLS)))
+        code, lm = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"), self._overflows_late(tmp_path, "u2"),
+            ("u3", str(bad))], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: external LM total overflows float64 in u2" % lm)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_posteriors_before_overflow_wins(self, tmp_path, capsys, jobs):
+        bad = tmp_path / "bad.fpm"
+        bad.write_bytes(b"FPM1" + struct.pack("<II", 1, len(self.SYMBOLS)))
+        code, _ = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"), ("u2", str(bad)),
+            self._overflows_late(tmp_path, "u3")], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: truncated payload" % bad)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflow_before_nan_fused_score_wins(self, tmp_path, capsys, jobs):
+        # u3's extensions of c fuse to NaN at frame 1, before u2 overflows
+        # at frame 4
+        code, lm = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"), self._overflows_late(tmp_path, "u2"),
+            ("u3", self._utterance(tmp_path, "u3", "Cddd"))], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: external LM total overflows float64 in u2" % lm)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_fault_alone(self, tmp_path, capsys, jobs):
+        code, lm = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"),
+            ("u3", self._utterance(tmp_path, "u3", "Cddd"))], jobs)
+        assert code == 1
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: invalid arguments: fused score is NaN: "
+            "a fusion weight times a score overflows")
+        code, lm = self._decode(tmp_path, [
+            self._fine(tmp_path, "u1"),
+            ("u3", self._utterance(tmp_path, "u3", "Addd"))], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: external LM total overflows float64 in u3" % lm)
 
 
 class TestConfigFile:

@@ -19,6 +19,8 @@ from twopass.core import (
     Vocabulary,
     WORD_BOUNDARY,
     detokenize,
+    log_add,
+    log_add_array,
     load_lexicon,
     load_manifest,
     load_nbest,
@@ -244,6 +246,54 @@ class TestPosteriorFile:
         small = Vocabulary((BLANK, "x"))
         with pytest.raises(FormatError):
             load_posteriors(path, small)
+
+
+class TestLogAddArray:
+    """log_add_array has the bits of the scalar log_add, element by element."""
+
+    def _check(self, a, b):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        got = log_add_array(a, b)
+        assert got.shape == a.shape
+        want = [log_add(x, y).hex() for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        assert [x.hex() for x in got.ravel().tolist()] == want
+
+    def test_seeded_pairs(self):
+        # NumPy's exp and libm's disagree in the last bit on a few percent of
+        # arguments; with the larger argument near 0 and gaps to -40 that
+        # bit survives the final add on dozens of these pairs. The wide
+        # ranges cover gaps past exp's underflow.
+        rng = np.random.default_rng(2501)
+        a = rng.uniform(-1.0, 0.0, 20000)
+        b = a - rng.uniform(0.0, 40.0, 20000)
+        self._check(a, b)
+        self._check(b, a)
+        self._check(a.reshape(100, 200), b.reshape(100, 200))
+        for low in (-60.0, -800.0):
+            self._check(rng.uniform(low, 0.0, 20000), rng.uniform(low, 0.0, 20000))
+
+    def test_minus_infinity_on_either_side(self):
+        inf = float("-inf")
+        a = [inf, -3.5, inf, 0.0, -0.0, inf, inf]
+        b = [-3.5, inf, inf, inf, inf, -0.0, 0.0]
+        self._check(a, b)
+        got = log_add_array(np.array(a), np.array(b)).tolist()
+        assert [x.hex() for x in got[4:6]] == ["-0x0.0p+0", "-0x0.0p+0"]
+
+    def test_equal_arguments_and_signed_zeros(self):
+        self._check([0.0, -0.0, 0.0, -0.0, -2.25, -1e-300, -700.0],
+                    [-0.0, 0.0, 0.0, -0.0, -2.25, -1e-300, -700.0])
+
+    def test_gaps_past_underflow(self):
+        # exp of a gap below about -745 is 0.0, so the larger argument wins.
+        self._check([0.0, -1.0, -745.0, -746.0, -3.0, -1e3],
+                    [-745.2, -747.0, -1490.5, 0.0, -1e4, -3e3])
+
+    def test_magnitudes_near_overflow(self):
+        # The gap of the last pair overflows to -inf; exp(-inf) is 0.0.
+        self._check([-1e308, -1.7976931348623157e308, 1e308, 1.7e308, -1e308],
+                    [-1.5e308, -1.7976931348623157e308, 1e308, 1.7e308, 1.7e308])
 
 
 class TestScoresAndHypotheses:

@@ -26,7 +26,9 @@ from twopass.core import (
     VocabMismatchError,
     Vocabulary,
 )
-from twopass.decoder import BeamConfig, prefix_beam_search
+from twopass import decoder
+from twopass.decoder import BeamConfig, decode_batch, prefix_beam_search
+from twopass.fusion import fuse_scores
 from twopass.ngram import train_add_one
 
 from oracles import ctc_label_prob, random_arpa_lm, reference_prefix_beam_search
@@ -342,16 +344,102 @@ def random_lm(rng, vocab, order):
     return train_add_one(sents, order=order, vocabulary=pieces)
 
 
+def assert_same_lists(got, want):
+    assert [nb.utterance_id for nb in got] == [nb.utterance_id for nb in want]
+    for g, w in zip(got, want):
+        assert [h.tokens for h in g.hypotheses] == [h.tokens for h in w.hypotheses]
+        for a, b in zip(g.hypotheses, w.hypotheses):
+            assert repr(a.scores) == repr(b.scores), (g.utterance_id, a, b)
+
+
 class TestMatchesReferenceLoop:
-    """The array step gives the frozen loop's tokens and score bits."""
+    """The array step gives the frozen loop's tokens and score bits, one
+    utterance at a time and over whole lists."""
 
     def _check(self, matrix, config):
         got = prefix_beam_search(matrix, config, utterance_id="u")
         want = reference_prefix_beam_search(matrix, config, utterance_id="u")
-        assert [h.tokens for h in got.hypotheses] \
-            == [h.tokens for h in want.hypotheses]
-        for a, b in zip(got.hypotheses, want.hypotheses):
-            assert repr(a.scores) == repr(b.scores), (a, b)
+        assert_same_lists([got], [want])
+
+    def _check_list(self, matrices, config):
+        ids = ["u%d" % i for i in range(len(matrices))]
+        assert_same_lists(
+            decode_batch(matrices, config, ids),
+            [reference_prefix_beam_search(m, config, utterance_id=u)
+             for m, u in zip(matrices, ids)])
+
+    def _mixed_list(self, rng, vocab, count):
+        # 1 to about 30 frames, in no order
+        return [random_matrix(rng, int(rng.integers(1, 31)), vocab)
+                for _ in range(count)]
+
+    def test_lists_of_mixed_lengths(self):
+        rng = np.random.default_rng(2525)
+        for _ in range(3):
+            vocab = make_vocab(int(rng.integers(3, 7)))
+            width = int(rng.integers(2, 6))
+            matrices = self._mixed_list(rng, vocab, 12)
+            self._check_list(matrices, BeamConfig(beam_width=width, n_best=width))
+            for config in self._configs(rng, vocab, width):
+                self._check_list(matrices, config)
+
+    def test_list_longer_than_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        vocab = make_vocab(4)
+        config = BeamConfig(beam_width=3, n_best=2)
+        monkeypatch.setattr(decoder, "BATCH_CELLS", 3 * 3 * len(vocab))
+        assert decoder.batch_size(config, len(vocab)) == 3
+        matrices = self._mixed_list(rng, vocab, 11)
+        self._check_list(matrices, config)
+        for config in self._configs(rng, vocab, 3):
+            self._check_list(matrices, config)
+
+    def test_lists_with_exact_ties(self):
+        # Uniform rows tie every extension of a prefix; duplicated columns
+        # tie sibling prefixes.
+        rng = np.random.default_rng(27)
+        vocab = make_vocab(5)
+        matrices = []
+        for frames in (1, 2, 5, 9, 17):
+            probs = rng.random((frames, len(vocab))) + 1e-3
+            probs[:, 2] = probs[:, 1]
+            probs[::2] = 1.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            matrices.append(PosteriorMatrix(np.log(probs).astype(np.float32), vocab))
+        for width in (1, 2, 4):
+            self._check_list(matrices, BeamConfig(beam_width=width, n_best=width))
+            for config in self._configs(rng, vocab, width):
+                self._check_list(matrices, config)
+
+    def test_huge_weights_rank_every_candidate_infinite(self):
+        # Every conditional is below -1.8, so 1e308 times it overflows:
+        # every prefix but the empty one fuses to -inf at lambda_lm 1e308
+        # and to +inf at lambda_ilm 1e308, and the cuts are ties over the
+        # live candidates. At lambda_ilm 1e308 a candidate that is not live
+        # (e2e -inf) would fuse to -inf + inf, a NaN the search never sees.
+        rng = np.random.default_rng(28)
+        vocab = make_vocab(4)
+        pieces = list(vocab.symbols[1:])
+        lm = train_add_one([pieces[:2]], order=2,
+                           vocabulary=pieces + ["▁z%d" % i for i in range(20)])
+        matrices = self._mixed_list(rng, vocab, 8)
+        for weights, inf in ((FusionWeights(0.0, 1e308, 0.0), -math.inf),
+                             (FusionWeights(0.0, 0.0, 1e308), math.inf)):
+            for width in (1, 3):
+                config = BeamConfig(beam_width=width, n_best=width,
+                                    weights=weights, lm=lm, ilm=lm)
+                got = decode_batch(matrices, config, ["u%d" % i for i in range(8)])
+                assert all(
+                    (fuse_scores(h.scores, weights) == inf) == bool(h.tokens)
+                    for nb in got for h in nb.hypotheses)
+                self._check_list(matrices, config)
+
+    def test_beam_far_wider_than_live_prefixes(self):
+        # Arrays follow the live prefixes, not beam_width.
+        rng = np.random.default_rng(29)
+        vocab = make_vocab(3)
+        matrices = [random_matrix(rng, int(rng.integers(1, 3)), vocab) for _ in range(5)]
+        self._check_list(matrices, BeamConfig(beam_width=10 ** 6, n_best=3))
 
     def _configs(self, rng, vocab, width):
         n_best = int(rng.integers(1, width + 1))
@@ -376,6 +464,10 @@ class TestMatchesReferenceLoop:
                          weights=FusionWeights(0.0, 0.6, 0.3),
                          lm=random_arpa_lm(rng, pieces, 3),
                          ilm=random_arpa_lm(rng, pieces, 2))
+        yield BeamConfig(beam_width=width, n_best=n_best,
+                         weights=FusionWeights(0.0, 0.6, 0.3),
+                         lm=random_arpa_lm(rng, pieces, 4),
+                         ilm=random_arpa_lm(rng, pieces, 1))
 
     def test_pruned_random_inputs(self):
         rng = np.random.default_rng(6150)
