@@ -66,24 +66,15 @@ def write_lines(path: str | os.PathLike, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def log_add(a: float, b: float) -> float:
-    """Stable log(exp(a) + exp(b)) for scalars, tolerating -inf."""
-    if a == MINUS_INF:
-        return b
-    if b == MINUS_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def log_add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log_add elementwise over two same-shape float64 arrays, with its bits.
+    """Stable log(exp(a) + exp(b)) elementwise over two same-shape float64
+    arrays, tolerating -inf.
 
     Where either is -inf the result is the other, which is the larger;
     elsewhere it is max + log1p(exp(min - max)), with math's exp and log1p
     mapped over a list: NumPy's exp is not libm's on every machine, and
-    rounds differently.
+    rounds differently. Each element has the bits of that scalar rule in
+    Python floats, in either argument order.
     """
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)

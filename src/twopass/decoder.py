@@ -12,7 +12,7 @@ e2e score of every returned hypothesis is the exact CTC probability.
 The batch step. decode_batch sorts a batch by frame count, longest first,
 so the utterances still running at frame t are its first rows, and holds
 every beam in (utterance x beam) arrays: blank-ending and nonblank-ending
-log mass p_b and p_nb, their log_add total, the LM and ILM totals, the
+log mass p_b and p_nb, their log-sum total, the LM and ILM totals, the
 last symbol, the prefix id and the parent's prefix id. A padding slot has
 id -1 and -inf mass. Each frame is one array step over the (utterance x
 beam x symbol) extension candidates of every running utterance (Hannun et
@@ -31,12 +31,12 @@ candidates tied with that score do not all fit builds token tuples to
 order them. Arrays are sized by the live prefixes, never by beam_width.
 
 Exactness. Additions, maxima and comparisons in NumPy round as Python's
-float operations do, and they run in the scalar definition's order. An
-array log_add would not: NumPy's exp is not libm's on every machine, so
-core.log_add_array maps math.exp and math.log1p over lists. A prefix gets
-at most two nonblank terms, its repeat-collapse and its parent's
-extension, and log_add is exactly symmetric, so the fold has the bits of
-a scalar loop in any order.
+float operations do, and they run in the scalar definition's order. A
+log-sum in NumPy would not: NumPy's exp is not libm's on every machine,
+so core.log_add_array maps math.exp and math.log1p over lists. A prefix
+gets at most two nonblank terms, its repeat-collapse and its parent's
+extension, and the log-sum is exactly symmetric, so the fold has the bits
+of a scalar loop in any order.
 
 The chunk rule. A batch holds batch_size(config, symbols) utterances:
 BATCH_CELLS // (beam_width * symbols), and at least one, so one (utterance
@@ -56,16 +56,16 @@ backoff weight plus a log-prob does, and a sum of finite ones over a
 prefix can overflow too: an LM or ILM total that is not finite raises
 OverflowError before any weight multiplies it.
 
-Each survivor's CTC total log_add(p_b, p_nb) is carried to the next frame:
-a kept beam entry's is the total it was ranked by, and a new extension's is
-its nonblank mass, since log_add(-inf, x) is x. With no LM and no ILM the
-weights are 0 and the fused score is that total, so a frame builds no LM
-arrays and survivors keep lm = ilm = 0.0 (x + 0.0 - 0.0 differs from x
-only in the sign of zero, which no comparison sees). With a model
-attached, the live candidates (never a padding cell) are fused by
-fusion.fuse_scores, which applies its rule: a weight times a score that
-overflows to -inf ranks silently, and a NaN candidate score raises
-ValueError.
+Each survivor's CTC total, the log-sum of p_b and p_nb, is carried to the
+next frame: a kept beam entry's is the total it was ranked by, and a new
+extension's is its nonblank mass, since the log-sum of -inf and x is x.
+With no LM and no ILM the weights are 0 and the fused score is that
+total, so a frame builds no LM arrays and survivors keep lm = ilm = 0.0
+(x + 0.0 - 0.0 differs from x only in the sign of zero, which no
+comparison sees). With a model attached, the live candidates (never a
+padding cell) are fused by fusion.fuse_scores, which applies its rule: a
+weight times a score that overflows to -inf ranks silently, and a NaN
+candidate score raises ValueError.
 
 Errors. The error raised is the first failing utterance's in input order,
 as if each utterance were decoded alone: a batch that raises anything is
@@ -363,7 +363,8 @@ def _search(matrices, utterance_ids, config: BeamConfig) -> list[NBestList]:
         # Row u's kept candidates fill its first slots, in column order: a
         # beam entry's own state, or the state of the extension at ext of
         # slot src by symbol off % n_ext + 1. A new extension's blank mass
-        # is -inf, so its total is its nonblank mass: log_add(-inf, x) is x.
+        # is -inf, so its total is its nonblank mass, the log-sum of -inf
+        # and x being x.
         ku, col = np.divmod(keep.ravel().nonzero()[0], n_cand)
         counts = np.bincount(ku, minlength=a)
         slot = np.arange(len(ku)) - np.repeat(counts.cumsum() - counts, counts)

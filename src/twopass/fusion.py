@@ -27,15 +27,13 @@ from .core import (
     MINUS_INF,
     FusionWeights,
     Hypothesis,
-    Lexicon,
     NBestList,
-    PosteriorMatrix,
     ScoreBundle,
     Vocabulary,
     detokenize,
     with_am,
 )
-from .aligner import AlignOptions, am_scores
+from .aligner import AmScorer
 from .metrics import normalize, wer
 from .ngram import NGramModel
 
@@ -85,14 +83,24 @@ def rank_hypotheses(hypotheses, weights: FusionWeights) -> list[Hypothesis]:
     return sorted(hypotheses, key=_rank_key(weights))
 
 
-def rescore_nbest(nbest: NBestList, posteriors: PosteriorMatrix,
-                  lexicon: Lexicon, vocab: Vocabulary,
-                  weights: FusionWeights,
-                  options: AlignOptions = AlignOptions()) -> NBestList:
-    """Fill am scores via forced alignment and re-rank by the fused score."""
-    ams = am_scores(nbest.hypotheses, posteriors, lexicon, vocab, options)
-    scored = [with_am(h, am) for h, am in zip(nbest.hypotheses, ams)]
-    return NBestList(nbest.utterance_id, tuple(rank_hypotheses(scored, weights)))
+def rescore_nbest(pairs, scorer: AmScorer, weights: FusionWeights) -> list[NBestList]:
+    """Fill am scores via forced alignment and re-rank each list by the
+    fused score: one NBestList per (NBestList, PosteriorMatrix) pair, in
+    order. The scorer reads the pairs as it needs them and scores them a
+    chunk at a time; a list is ranked as soon as its scores come, so the
+    error raised is the first failing list's."""
+    lists, out = [], []
+
+    def hypotheses():
+        for nbest, posteriors in pairs:
+            lists.append(nbest)
+            yield nbest.hypotheses, posteriors
+
+    for nbest_index, ams in enumerate(scorer.scores(hypotheses())):
+        nbest = lists[nbest_index]
+        scored = [with_am(h, am) for h, am in zip(nbest.hypotheses, ams)]
+        out.append(NBestList(nbest.utterance_id, tuple(rank_hypotheses(scored, weights))))
+    return out
 
 
 def score_with_word_lm(nbest: NBestList, lm: NGramModel,

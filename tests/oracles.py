@@ -6,13 +6,16 @@ the one-call form of grid search plus weight selection;
 reference_viterbi_align is the forced-alignment recursion that indexes a
 float64 numpy row per cell, which aligner.viterbi_align must reproduce bit
 for bit; reference_am_score is one such alignment per hypothesis, whose
-scores and exceptions aligner.am_scores must reproduce for a whole list;
+scores and exceptions aligner.AmScorer must reproduce for a whole list
+and for a run of lists scored in chunks;
 reference_prefix_beam_search is the scalar per-(prefix, symbol)
 beam search whose tokens and score bits decoder.prefix_beam_search must
-reproduce. random_arpa_lm is a seeded sparse backoff model read through
-load_arpa, unlike train_add_one's, which has every n-gram's backoff and
-no gaps.
+reproduce. log_add is the scalar log-sum rule those oracles use, which
+core.log_add_array maps over arrays. random_arpa_lm is a seeded sparse
+backoff model read through load_arpa, unlike train_add_one's, which has
+every n-gram's backoff and no gaps.
 """
+import math
 import os
 import tempfile
 
@@ -26,10 +29,20 @@ from twopass.core import (
     PosteriorMatrix,
     ScoreBundle,
     detokenize,
-    log_add,
 )
 from twopass.fusion import grid_search, select_weights
 from twopass.ngram import SENTENCE_END, SENTENCE_START, load_arpa
+
+
+def log_add(a: float, b: float) -> float:
+    """Stable log(exp(a) + exp(b)) for scalars, tolerating -inf."""
+    if a == MINUS_INF:
+        return b
+    if b == MINUS_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
 
 
 def ctc_label_prob(posteriors: PosteriorMatrix, labels) -> float:

@@ -3,23 +3,26 @@
 viterbi_align is checked against a brute-force search that enumerates every
 frame-state path through the pronunciation graph (entry charges, transition
 charges and all) and takes the max, and bit for bit against the reference
-recursion in oracles.py; am_scores, which scores a whole N-best list in
-one pass, is checked against one reference alignment per hypothesis.
+recursion in oracles.py; AmScorer, which scores a whole N-best list in
+one pass, is checked against one reference alignment per hypothesis, on
+one list and over many lists, in chunks cut anywhere in the sequence.
 Graph construction is checked through
 closed-form path counts: a sequence of words with n1, n2, ... pronunciations
 and optional silence at the s possible slots admits prod(ni) * 2^s paths.
 """
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from twopass import aligner
 from twopass.aligner import (
     AlignOptions,
+    AmScorer,
     DEFAULT_FLOOR_LOG_PROB,
-    am_scores,
     expand_pronunciations,
     viterbi_align,
 )
@@ -39,6 +42,11 @@ import oracles
 
 PH = Vocabulary(("p0", "p1", "p2", "sil"))
 SIL = PH.id_of("sil")
+
+
+def score_list(hypotheses, posteriors, lexicon, vocab, options=AlignOptions()):
+    """The scores AmScorer gives one list."""
+    return next(AmScorer(lexicon, vocab, options).scores([(hypotheses, posteriors)]))
 
 
 def matrix_from_rows(rows):
@@ -372,10 +380,10 @@ def random_nbest_case(rng):
     return hypotheses, matrix, lexicon, options
 
 
-def scores_or_error(score_list):
+def scores_or_error(scores):
     """The repr of every score, or the (type, message) of the exception."""
     try:
-        return [repr(score) for score in score_list()]
+        return [repr(score) for score in scores()]
     except (OOVError, AlignmentError) as exc:
         return type(exc), str(exc)
 
@@ -390,7 +398,7 @@ class TestAmScoresMatchReference:
             for policy in ("floor", "strict"):
                 opts = dataclasses.replace(options, oov_policy=policy)
                 got = scores_or_error(
-                    lambda: am_scores(hyps, matrix, lexicon, LIST_PIECES, opts))
+                    lambda: score_list(hyps, matrix, lexicon, LIST_PIECES, opts))
                 want = scores_or_error(lambda: [
                     oracles.reference_am_score(h, matrix, lexicon, LIST_PIECES, opts)
                     for h in hyps])
@@ -402,6 +410,138 @@ class TestAmScoresMatchReference:
                 "OOV word: zz", "utterance too short to align"}
         assert outcomes["floor", "scored"] == 250
         assert outcomes["strict", "scored"] > 40
+
+
+def chunk_lexicon(rng):
+    """(phoneme vocabulary, lexicon) for 2-3 words w0, w1, ... of 1-3
+    pronunciations of 1-4 phonemes over 2-4 phonemes plus "sil", every
+    pronunciation with an explicit prior drawn from (0.05, 1)."""
+    def count(low, high):
+        return int(rng.integers(low, high))
+
+    symbols = count(3, 6)
+    ph = Vocabulary(tuple("p%d" % i for i in range(symbols - 1)) + ("sil",))
+    lines = []
+    for w in range(count(2, 4)):
+        prons = {tuple(rng.integers(0, symbols - 1, size=count(1, 5)).tolist())
+                 for _ in range(count(1, 4))}
+        for pron in sorted(prons):
+            lines.append("w%d\t%r\t%s" % (w, round(float(rng.uniform(0.05, 1.0)), 3),
+                                          " ".join("p%d" % x for x in pron)))
+    return ph, parse_lexicon(lines, ph)
+
+
+def chunk_case(rng):
+    """(lexicon, phoneme vocabulary, lists) for 3-7 N-best lists of (hypotheses,
+    matrix). Hypotheses are prefixes of a few base word sequences, with an
+    empty, dangling or OOV one now and then; frame counts differ from list
+    to list, and some lists are shorter than some of their hypotheses.
+    One list in ten holds only hypotheses that floor."""
+    def count(low, high):
+        return int(rng.integers(low, high))
+
+    ph, lexicon = chunk_lexicon(rng)
+    known = sorted(lexicon.entries)
+    piece = LIST_PIECES.id_of
+    lists = []
+    for _ in range(count(3, 8)):
+        bases = [[known[count(0, len(known))] for _ in range(count(1, 5))]
+                 for _ in range(count(1, 3))]
+        hypotheses = []
+        for _ in range(count(1, 7)):
+            base = bases[count(0, len(bases))]
+            tokens = [piece("▁" + w) for w in base[:count(1, len(base) + 1)]]
+            fault = count(0, 30)
+            if fault == 0:
+                tokens = []
+            elif fault == 1:
+                tokens.insert(0, piece("x"))
+            elif fault == 2:
+                tokens.append(piece("▁zz"))
+            hypotheses.append(hyp(tokens))
+        if rng.random() < 0.1:
+            hypotheses = [hyp([]), hyp([piece("x"), piece("▁w0")]), hyp([piece("▁zz")])]
+        shortest = expand_pronunciations(bases[0], lexicon).min_path_states()
+        matrix, _ = random_matrix_and_shift(rng, ph, max(1, shortest + count(-2, 8)))
+        lists.append((hypotheses, matrix))
+    return lexicon, ph, lists
+
+
+def outcome_of(score_lists):
+    """The float.hex of every score of every list, up to the first list
+    that raises, and then the (type, message) of its exception."""
+    out = []
+    try:
+        for scores in score_lists():
+            out.append([score.hex() for score in scores])
+    except (OOVError, AlignmentError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+class TestChunkedScorerMatchesReference:
+    """AmScorer lays out the tries of a chunk of lists behind one sentinel,
+    longest list first, and runs one pass; whatever the chunk size, every
+    score has the bits of one reference alignment per hypothesis, and under
+    strict the first failing list raises, after the lists before it."""
+
+    @pytest.mark.parametrize("cells", [aligner.CHUNK_CELLS, 300, 60, 1])
+    def test_scores_match_reference_bit_for_bit(self, monkeypatch, cells):
+        passes = []
+        viterbi = aligner._viterbi
+
+        def counted(*args):
+            passes.append(1)
+            viterbi(*args)
+
+        monkeypatch.setattr(aligner, "CHUNK_CELLS", cells)
+        monkeypatch.setattr(aligner, "_viterbi", counted)
+        rng = np.random.default_rng(3141)
+        seen = collections.Counter()
+        for trial in range(60):
+            lexicon, ph, lists = chunk_case(rng)
+            for silence, policy in itertools.product((False, True), ("floor", "strict")):
+                options = AlignOptions(
+                    allow_silence=silence, oov_policy=policy,
+                    silence_phoneme=ph.id_of("sil") if silence else None)
+                scorer = AmScorer(lexicon, LIST_PIECES, options)
+                del passes[:]
+                got = outcome_of(lambda: scorer.scores(lists))
+                want = outcome_of(lambda: ([
+                    oracles.reference_am_score(h, m, lexicon, LIST_PIECES, options)
+                    for h in hyps] for hyps, m in lists))
+                assert got == want, "trial %d, silence %r, %s" % (trial, silence, policy)
+                floored = [set(scores) == {(m.frames * options.floor_log_prob).hex()}
+                           for scores, (_, m) in zip(got, lists) if isinstance(scores, list)]
+                seen["passes > 1"] += len(passes) > 1
+                seen["all floored"] += any(floored)
+                seen["raised after a list"] += isinstance(got[-1], tuple) and len(got) > 1
+        assert seen["all floored"] > 20 and seen["raised after a list"] > 20
+        if cells < 100:
+            assert seen["passes > 1"] > 100
+
+    def test_chunk_whose_pass_raises_is_scored_again_one_list_at_a_time(
+            self, monkeypatch):
+        # every pass that holds the third list fails: the lists before it
+        # come from passes of their own, then its error is raised
+        lexicon = parse_lexicon(["go\tp0 p1", "stop\tp2"], PH)
+        pieces = Vocabulary((BLANK, "▁go", "▁stop"))
+        rng = np.random.default_rng(17)
+        lists = [([hyp([1]), hyp([2, 1])], random_matrix(rng, frames))
+                 for frames in (4, 3, 5, 6)]
+        want = [score_list(h, m, lexicon, pieces) for h, m in lists[:2]]
+        emissions = aligner._emissions
+
+        def failing(matrices, *args):
+            if any(m is lists[2][1] for m in matrices):
+                raise MemoryError("no room")
+            return emissions(matrices, *args)
+
+        monkeypatch.setattr(aligner, "_emissions", failing)
+        got = []
+        with pytest.raises(MemoryError, match="no room"):
+            got.extend(AmScorer(lexicon, pieces).scores(lists))
+        assert got == want
 
 
 WP = Vocabulary((BLANK, "▁go", "▁stop", "p"))
@@ -421,51 +561,51 @@ class TestAmScore:
         g = expand_pronunciations(["go"], self.LEX)
         expected, _ = viterbi_align(m, g)
         np.testing.assert_allclose(
-            am_scores([hyp([1])], m, self.LEX, WP)[0], expected, atol=1e-12)
+            score_list([hyp([1])], m, self.LEX, WP)[0], expected, atol=1e-12)
 
     def test_oov_word_strict_raises(self):
         rng = np.random.default_rng(12)
         m = random_matrix(rng, 3)
         # "gop" detokenizes fine but is not in the lexicon
         with pytest.raises(OOVError):
-            am_scores([hyp([1, 3])], m, self.LEX, WP)[0]
+            score_list([hyp([1, 3])], m, self.LEX, WP)[0]
 
     def test_oov_word_floor_scores(self):
         rng = np.random.default_rng(13)
         m = random_matrix(rng, 3)
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_scores([hyp([1, 3])], m, self.LEX, WP, opts)[0],
+            score_list([hyp([1, 3])], m, self.LEX, WP, opts)[0],
             3 * DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
     def test_dangling_continuation_follows_policy(self):
         rng = np.random.default_rng(14)
         m = random_matrix(rng, 3)
         with pytest.raises(AlignmentError):
-            am_scores([hyp([3])], m, self.LEX, WP)[0]
+            score_list([hyp([3])], m, self.LEX, WP)[0]
         opts = AlignOptions(oov_policy="floor", floor_log_prob=math.log(0.5))
         np.testing.assert_allclose(
-            am_scores([hyp([3])], m, self.LEX, WP, opts)[0],
+            score_list([hyp([3])], m, self.LEX, WP, opts)[0],
             3 * math.log(0.5), atol=1e-12)
 
     def test_empty_hypothesis_follows_policy(self):
         rng = np.random.default_rng(15)
         m = random_matrix(rng, 2)
         with pytest.raises(AlignmentError):
-            am_scores([hyp([])], m, self.LEX, WP)[0]
+            score_list([hyp([])], m, self.LEX, WP)[0]
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_scores([hyp([])], m, self.LEX, WP, opts)[0],
+            score_list([hyp([])], m, self.LEX, WP, opts)[0],
             2 * DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
     def test_too_short_follows_policy(self):
         rng = np.random.default_rng(16)
         m = random_matrix(rng, 1)
         with pytest.raises(AlignmentError):
-            am_scores([hyp([1])], m, self.LEX, WP)[0]  # "go" needs 2 frames
+            score_list([hyp([1])], m, self.LEX, WP)[0]  # "go" needs 2 frames
         opts = AlignOptions(oov_policy="floor")
         np.testing.assert_allclose(
-            am_scores([hyp([1])], m, self.LEX, WP, opts)[0],
+            score_list([hyp([1])], m, self.LEX, WP, opts)[0],
             DEFAULT_FLOOR_LOG_PROB, atol=1e-12)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twopass import cli, core, decoder
+from twopass import aligner, cli, core, decoder
 from twopass.ngram import SENTENCE_START, load_arpa, train_add_one, write_arpa
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
@@ -777,6 +777,105 @@ class TestRescore:
                              "--lexicon", str(lexicon)) == 2
         assert "zero.tsv: word 'zz': a probability normalizes to 0" \
             in capsys.readouterr().err
+
+
+class TestRescoreErrorOrder:
+    """A --list rescore reports the first failing list's error in list
+    order, although the lists of a chunk are scored in one pass, longest
+    first, the lists are handed to the pool in runs, and a job loads a
+    list's posteriors only when it reaches it.
+
+    Phonemes p0 p1 sil; the lexicon has "a" (p0) and "b" (p1 p0), not
+    "zz". Every list holds "a b" and "a"; a faulty one adds a hypothesis
+    with an OOV word or one too long for its frames.
+    """
+
+    PIECES = ("<blank>", "▁a", "▁b", "▁zz")
+    PHONEMES = ("p0", "p1", "sil")
+
+    def _rescore(self, tmp_path, lists, jobs, *extra):
+        """Rescore lists of (utterance, frames, extra hypothesis) at the
+        default strict policy; frames None is a truncated posterior file.
+        Returns the exit code and the bad file's path."""
+        vocab, phonemes = core.Vocabulary(self.PIECES), core.Vocabulary(self.PHONEMES)
+        core.save_vocabulary(vocab, str(tmp_path / "v.txt"))
+        core.save_vocabulary(phonemes, str(tmp_path / "ph.txt"))
+        core.write_lines(str(tmp_path / "lex.tsv"), ["a\tp0", "b\tp1 p0"])
+        bad = tmp_path / "bad.fpm"
+        bad.write_bytes(b"FPM1" + struct.pack("<II", 1, len(self.PHONEMES)))
+        rows, entries = [], []
+        for utt, frames, faulty in lists:
+            path = bad
+            if frames is not None:
+                path = tmp_path / (utt + ".fpm")
+                probs = np.tile([0.5, 0.3, 0.2], (frames, 1))
+                core.write_posteriors(core.PosteriorMatrix(
+                    np.log(probs).astype(np.float32), phonemes), str(path))
+            entries.append((utt, str(path)))
+            for rank, text in enumerate(["▁a ▁b", "▁a", faulty][:2 + bool(faulty)], 1):
+                rows.append("%s\t%d\t-1.0\t0.0\t0.0\tNA\t%s" % (utt, rank, text))
+        core.write_lines(str(tmp_path / "x.nbest"), rows)
+        core.write_manifest(entries, str(tmp_path / "ph.list"))
+        out = tmp_path / "out.nbest"
+        code = cli.main([
+            "rescore", "--nbest", str(tmp_path / "x.nbest"),
+            "--vocab", str(tmp_path / "v.txt"), "--list", str(tmp_path / "ph.list"),
+            "--phoneme-vocab", str(tmp_path / "ph.txt"),
+            "--lexicon", str(tmp_path / "lex.tsv"), "--jobs", jobs,
+            "--out", str(out), *extra])
+        assert out.exists() == (code == 0)
+        return code, bad
+
+    @pytest.fixture(params=["one chunk", "a chunk per list", "a pool task per two lists"])
+    def chunks(self, request, monkeypatch):
+        if request.param == "a chunk per list":
+            monkeypatch.setattr(aligner, "CHUNK_CELLS", 1)
+        if request.param == "a pool task per two lists":
+            monkeypatch.setattr(cli, "RESCORE_TASK_LISTS", 2)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_oov_before_malformed_posteriors_wins(self, tmp_path, capsys, chunks, jobs):
+        code, _ = self._rescore(tmp_path, [
+            ("u1", 4, None), ("u2", 4, "▁a ▁zz"), ("u3", None, None),
+            ("u4", 4, None), ("u5", 4, None)], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == "twopass: OOV word: zz"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_posteriors_before_longer_too_short_list_wins(
+            self, tmp_path, capsys, chunks, jobs):
+        # u4 has the most frames, but "b b b" needs six
+        code, bad = self._rescore(tmp_path, [
+            ("u1", 3, None), ("u2", None, None), ("u3", 3, None),
+            ("u4", 5, "▁b ▁b ▁b"), ("u5", 3, None)], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: %s: truncated payload" % bad)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_fault_alone(self, tmp_path, capsys, chunks, jobs):
+        code, _ = self._rescore(tmp_path, [
+            ("u1", 3, None), ("u2", 3, None), ("u3", 3, None),
+            ("u4", 5, "▁b ▁b ▁b"), ("u5", 3, None)], jobs)
+        assert code == 2
+        assert only_error_line(capsys.readouterr().err) == (
+            "twopass: utterance too short to align")
+        assert self._rescore(tmp_path, [
+            ("u1", 3, None), ("u2", 5, None), ("u3", 4, None)], jobs)[0] == 0
+
+    def test_floor_of_minus_infinity_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-inf" after a space as a flag
+        lists = [("u1", 3, None), ("u2", 3, "▁a ▁zz"), ("u3", 3, "▁b ▁b")]
+        assert self._rescore(tmp_path, lists, "1", "--oov", "floor",
+                             "--floor-logp", "-inf")[0] == 1
+        assert "--floor-logp: expected one argument" in capsys.readouterr().err
+        assert self._rescore(tmp_path, lists, "1", "--oov", "floor",
+                             "--floor-logp=-inf")[0] == 0
+        am = {(row[0], row[6]): row[5] for row in (
+            line.split("\t") for line in
+            (tmp_path / "out.nbest").read_text(encoding="utf-8").splitlines())}
+        assert am["u2", "▁a ▁zz"] == am["u3", "▁b ▁b"] == "-inf"
+        assert float(am["u1", "▁a"]) > -math.inf
 
 
 @pytest.fixture(scope="module")

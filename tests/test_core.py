@@ -19,7 +19,6 @@ from twopass.core import (
     Vocabulary,
     WORD_BOUNDARY,
     detokenize,
-    log_add,
     log_add_array,
     load_lexicon,
     load_manifest,
@@ -38,6 +37,8 @@ from twopass.core import (
     write_posteriors,
     write_transcripts,
 )
+
+from oracles import log_add
 
 
 def _vocab():
@@ -249,7 +250,8 @@ class TestPosteriorFile:
 
 
 class TestLogAddArray:
-    """log_add_array has the bits of the scalar log_add, element by element."""
+    """log_add_array has the bits of the scalar oracles.log_add, element by
+    element."""
 
     def _check(self, a, b):
         a = np.asarray(a, dtype=np.float64)

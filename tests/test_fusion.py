@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twopass import fusion
-from twopass.aligner import AlignOptions, am_scores
+from twopass.aligner import AlignOptions, AmScorer
 from twopass.core import (
     BLANK,
     DanglingTokenError,
@@ -132,6 +132,11 @@ def phoneme_matrix(rows):
     return PosteriorMatrix(np.log(arr).astype(np.float32), PH)
 
 
+def rescore_one(nbest, matrix, weights, options=AlignOptions()):
+    (out,) = rescore_nbest([(nbest, matrix)], AmScorer(LEX, WP, options), weights)
+    return out
+
+
 class TestRescoreNBest:
 
     def test_alignment_flips_ranking(self):
@@ -141,7 +146,7 @@ class TestRescoreNBest:
             Hypothesis((1,), bundle(-1.1)),
         ))
         m = phoneme_matrix([[0.9, 0.1], [0.9, 0.1]])
-        out = rescore_nbest(nbest, m, LEX, WP, FusionWeights(1.0, 0.0, 0.0))
+        out = rescore_one(nbest, m, FusionWeights(1.0, 0.0, 0.0))
         assert [h.tokens for h in out.hypotheses] == [(1,), (2,)]
         for h in out.hypotheses:
             assert h.scores.am is not None
@@ -152,7 +157,7 @@ class TestRescoreNBest:
             Hypothesis((1,), bundle(-1.1)),
         ))
         m = phoneme_matrix([[0.9, 0.1], [0.9, 0.1]])
-        out = rescore_nbest(nbest, m, LEX, WP, FusionWeights())
+        out = rescore_one(nbest, m, FusionWeights())
         assert [h.tokens for h in out.hypotheses] == [(2,), (1,)]
         np.testing.assert_allclose(
             out.hypotheses[1].scores.am, 2 * math.log(0.9), atol=1e-6)
@@ -160,7 +165,7 @@ class TestRescoreNBest:
     def test_utterance_id_preserved(self):
         nbest = NBestList("keep-me", (Hypothesis((1,), bundle(-1.0)),))
         m = phoneme_matrix([[0.5, 0.5]])
-        out = rescore_nbest(nbest, m, LEX, WP, FusionWeights())
+        out = rescore_one(nbest, m, FusionWeights())
         assert out.utterance_id == "keep-me"
 
     def test_am_matches_standalone_scorer(self):
@@ -173,10 +178,26 @@ class TestRescoreNBest:
             Hypothesis((2,), bundle(-2.0)),
         ))
         opts = AlignOptions(oov_policy="floor")
-        out = rescore_nbest(nbest, m, LEX, WP, FusionWeights(), opts)
+        out = rescore_one(nbest, m, FusionWeights(), opts)
         for h in out.hypotheses:
             np.testing.assert_allclose(
-                h.scores.am, am_scores([h], m, LEX, WP, opts)[0], atol=1e-12)
+                h.scores.am, next(AmScorer(LEX, WP, opts).scores([([h], m)]))[0],
+                atol=1e-12)
+
+    def test_lists_keep_their_order_and_scores(self):
+        # three lists rescored together equal each rescored alone
+        rng = np.random.default_rng(4)
+        pairs = []
+        for utt, frames in (("a", 2), ("b", 5), ("c", 3)):
+            probs = rng.random((frames, 2)) + 0.1
+            probs /= probs.sum(axis=1, keepdims=True)
+            pairs.append((NBestList(utt, (
+                Hypothesis((1,), bundle(-1.0)), Hypothesis((1, 2), bundle(-1.5)),
+                Hypothesis((2, 1, 2), bundle(-2.0)))), phoneme_matrix(probs)))
+        opts = AlignOptions(oov_policy="floor")
+        weights = FusionWeights(0.5, 0.0, 0.0)
+        together = rescore_nbest(pairs, AmScorer(LEX, WP, opts), weights)
+        assert together == [rescore_one(nb, m, weights, opts) for nb, m in pairs]
 
 
 class TestScoreWithWordLm:
